@@ -107,7 +107,7 @@ def _parse_partition(blocks_json: str) -> ncpart.NcPartition:
     try:
         blocks = json.loads(blocks_json)
         n = sum(len(b) for b in blocks)
-        return ncpart.NcPartition(n, [tuple(b) for b in blocks])
+        return ncpart.NcPartition.noncrossing(n, [tuple(b) for b in blocks])
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad partition {blocks_json!r}: {exc}") from exc
 

@@ -219,8 +219,10 @@ def mixed_moment(kappa_a: FreeCumulantSequence, m_b: MomentSequence, n: int):
     Sums kappa_pi[a] * tau_{K(pi)}[b] over pi in NC(n); K is the Kreweras
     complement.
     """
-    if n < 1 or n > 8:
-        raise ValueError("mixed moments supported for 1 <= n <= 8")
+    if n < 1 or n > ncpart.MAX_KREWERAS_PAIRS:
+        raise ValueError(
+            f"mixed moments supported for 1 <= n <= {ncpart.MAX_KREWERAS_PAIRS}"
+        )
     if kappa_a.order < n or m_b.order < n:
         raise ValueError("sequences truncated below the requested length")
     acc = 0

@@ -86,6 +86,22 @@ class TestNc:
     def test_bad_partition_exits_2(self):
         assert run(["nc", "kreweras", "--blocks", "[[1,2],[2]]"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nc", "mobius", "-n", "4", "--p", "[[1,3],[2,4]]"],
+            ["nc", "mobius", "-n", "4", "--q", "[[1,3],[2,4]]"],
+            ["nc", "kreweras", "--blocks", "[[1,3],[2,4]]"],
+        ],
+    )
+    def test_crossing_partition_exits_2(self, argv, capsys):
+        assert run(argv) == 2
+        assert "crossing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["0", "13"])
+    def test_mobius_ground_set_bound_exits_3(self, n):
+        assert run(["nc", "mobius", "-n", n]) == 3
+
 
 class TestBerryEsseenAndFit:
     @pytest.fixture()

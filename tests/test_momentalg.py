@@ -233,10 +233,10 @@ class TestMixedMoment:
         kb = ma.moments_to_cumulants(BERNOULLI)
         assert ma.mixed_moment(kb, BERNOULLI, 2) == 0
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10])
     def test_trace_symmetry(self, n):
-        a = atomic_moments([(2.0, 0.2), (-0.5, 0.8)], 8)
-        b = atomic_moments([(1.0, 0.5), (-1.0, 0.5)], 8)
+        a = atomic_moments([(2.0, 0.2), (-0.5, 0.8)], 10)
+        b = atomic_moments([(1.0, 0.5), (-1.0, 0.5)], 10)
         lhs = ma.mixed_moment(ma.moments_to_cumulants(a), b, n)
         rhs = ma.mixed_moment(ma.moments_to_cumulants(b), a, n)
         assert abs(lhs - rhs) < 1e-12

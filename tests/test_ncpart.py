@@ -1,11 +1,14 @@
 """Lattice combinatorics: enumeration, Kreweras, Moebius.
 
-Brute-force oracles live here: the Kreweras complement is re-derived by
-exhaustive search over compatible complements, and the Moebius function
-is pinned by its defining interval recursion.
+Brute-force oracles live here, against which the closed forms in
+:mod:`freestein.ncpart` are pinned: the Kreweras complement is re-derived
+by exhaustive search over compatible complements and by greedy pairwise
+merging, and the Moebius function by its defining interval recursion.
 """
 
 import math
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +43,50 @@ def brute_kreweras(p: NcPartition) -> NcPartition:
     return best
 
 
+def greedy_kreweras(p: NcPartition) -> NcPartition:
+    """Oracle: merge complement blocks pairwise while p stays non-crossing with them.
+
+    Complement point i' sits right after i.  Compatible complements are
+    closed under refinement and joins, so greedy merging reaches the
+    unique maximal one; this fixes the left/right convention of K.
+    """
+    comp = [(i,) for i in range(1, p.n + 1)]
+    merged = True
+    while merged:
+        merged = False
+        for i, j in combinations(range(len(comp)), 2):
+            trial = [b for k, b in enumerate(comp) if k not in (i, j)]
+            trial.append(comp[i] + comp[j])
+            if ncpart.is_noncrossing(interlace(p, trial)):
+                comp = trial
+                merged = True
+                break
+    return NcPartition(p.n, comp)
+
+
+@lru_cache(maxsize=None)
+def recursion_mobius(n: int) -> dict:
+    """Oracle: mu(p, q) for all p <= q in NC(n), keyed by (p, q).
+
+    The defining recursion mu(p, p) = 1 and sum_{p <= s <= q} mu(p, s) = 0,
+    with q taken by decreasing block count so every s < q comes first.
+    """
+    lat = ncpart.enumerate_nc(n)
+    le = {(p, q): ncpart.leq(p, q) for p in lat for q in lat}
+    table = {}
+    for q in sorted(lat, key=len, reverse=True):
+        for p in lat:
+            if not le[(p, q)]:
+                continue
+            if p == q:
+                table[(p, q)] = 1
+                continue
+            table[(p, q)] = -sum(
+                table[(p, s)] for s in lat if s != q and le[(p, s)] and le[(s, q)]
+            )
+    return table
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bell_counts(self, n):
@@ -56,10 +103,12 @@ class TestEnumeration:
         assert ncpart.enumerate_partitions(1) == [NcPartition(1, [(1,)])]
 
     def test_nc_filter_agrees(self):
-        # non-crossing enumeration matches filtering all partitions
-        for n in range(1, 7):
-            filtered = {p for p in ncpart.enumerate_partitions(n) if ncpart.is_noncrossing(p)}
-            assert filtered == set(ncpart.enumerate_nc(n))
+        # non-crossing enumeration matches filtering all partitions, in
+        # descending RGS order: no sort enforces that order
+        for n in range(1, 10):
+            filtered = [p for p in ncpart.enumerate_partitions(n) if ncpart.is_noncrossing(p)]
+            filtered.sort(key=lambda p: p.rgs(), reverse=True)
+            assert ncpart.enumerate_nc(n) == filtered
 
     def test_unique_crossing_at_4(self):
         parts = ncpart.enumerate_partitions(4)
@@ -162,6 +211,11 @@ class TestKreweras:
         for p in ncpart.enumerate_nc(n):
             assert len(p) + len(ncpart.kreweras(p)) == n + 1
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_greedy_merge(self, n):
+        for p in ncpart.enumerate_nc(n):
+            assert ncpart.kreweras(p) == greedy_kreweras(p)
+
     def test_crossing_rejected(self):
         with pytest.raises(ValueError):
             ncpart.kreweras(NcPartition(4, [(1, 3), (2, 4)]))
@@ -179,7 +233,7 @@ class TestMobius:
     def test_bottom_to_top_small(self, n, expected):
         assert ncpart.mobius(NcPartition.zero(n), NcPartition.one(n)) == expected
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_bottom_to_top_catalan_law(self, n):
         v = ncpart.mobius(NcPartition.zero(n), NcPartition.one(n))
         assert v == (-1) ** (n - 1) * ncpart.catalan(n - 1)
@@ -199,11 +253,24 @@ class TestMobius:
         with pytest.raises(ValueError):
             ncpart.mobius(NcPartition.one(3), NcPartition.zero(3))
 
+    def test_crossing_upper_partition_rejected(self):
+        # {1,3},{2,4} lies above 0-hat, but is not in NC(4)
+        with pytest.raises(ValueError):
+            ncpart.mobius(NcPartition.zero(4), NcPartition(4, [(1, 3), (2, 4)]))
+
+    @pytest.mark.parametrize("n", [0, 13])
+    def test_ground_set_bounds(self, n):
+        with pytest.raises(ValueError):
+            ncpart.mobius(NcPartition.zero(n), NcPartition.zero(n))
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_multiplicative_shortcut_matches_recursion(self, n):
+        table = recursion_mobius(n)
+        for (p, q), mu in table.items():
+            assert ncpart.mobius(p, q) == mu, (p, q)
         top = NcPartition.one(n)
         for p in ncpart.enumerate_nc(n):
-            assert ncpart.mobius_to_top(p) == ncpart.mobius(p, top)
+            assert ncpart.mobius_to_top(p) == table[(p, top)]
 
 
 class TestCatalanBell:
@@ -238,6 +305,11 @@ class TestTypeCounts:
     def test_totals(self):
         for n in range(1, 13):
             assert sum(ncpart.nc_type_counts(n).values()) == ncpart.catalan(n)
+
+
+def test_kreweras_size_pairs_cap():
+    with pytest.raises(ValueError):
+        ncpart.nc_kreweras_size_pairs(ncpart.MAX_KREWERAS_PAIRS + 1)
 
 
 @settings(max_examples=60, deadline=None)
