@@ -1,15 +1,8 @@
 """Hot numeric kernels: Cauchy transforms and subordination fixed points.
 
-Two interchangeable backends implement the same arithmetic:
-
-* ``numba``  -- scalar loops compiled with ``@njit`` (default when numba
-  imports), with warm starts carried along the query array;
-* ``numpy``  -- vectorised iteration with an active-point mask.
-
-Select with the ``FREESTEIN_KERNELS`` environment variable (``numba``,
-``numpy``, or ``auto``); see ``benchmarks/bench_kernels.py`` for a timing
-comparison.  Measures enter as a flat descriptor
-``(kind, c0, c1, xs, ys)``:
+One vectorised numpy backend: each solver iterates all query points at
+once under an active-point mask.  ``BACKEND`` names it for provenance
+records.  Measures enter as a flat descriptor ``(kind, c0, c1, xs, ys)``:
 
 * kind 0: atomic       -- xs positions, ys weights
 * kind 1: semicircle   -- c0 mean, c1 variance
@@ -20,230 +13,38 @@ Newton steps on the subordination equation; plain Picard stalls near
 spectral edges, where the map derivative approaches 1.  A Newton candidate
 leaving the upper half plane falls back to the Picard step (damped 0.5
 after ``DEFAULT_DAMP_AFTER`` iterations).
+
+The n-fold solver starts from the exact fixed point where it has a closed
+form (semicircle, one or two atoms, see :func:`_nfold_seed`) and from
+w = z otherwise.  The loop still checks every point, so an exact seed
+settles at the first check and reports 0 iterations.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import os
 
 import numpy as np
 
+BACKEND = "numpy"
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_ITER = 10_000
 DEFAULT_DAMP_AFTER = 1_000
 _PICARD_WARMUP = 8
-# a warm start can land in a slow basin; retry cold once from w = z
-_RESTART_AT = 256
-
-_choice = os.environ.get("FREESTEIN_KERNELS", "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError(f"FREESTEIN_KERNELS must be auto|numba|numpy, got {_choice!r}")
-
-if _choice in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        BACKEND = "numba"
-    except ImportError:
-        if _choice == "numba":
-            raise
-        BACKEND = "numpy"
-else:
-    BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# scalar helpers (numba-compatible; also used by the loop fallback)
-# ---------------------------------------------------------------------------
-
-def _g_scalar(kind, c0, c1, xs, ys, w):
-    """G(w) = integral of 1/(w - x) for one descriptor, Im w > 0."""
+def cauchy_vals(z, kind, c0, c1, xs, ys):
+    """G(z) = integral of 1/(z - x) for one descriptor, Im z > 0."""
     if kind == 0:
-        acc = 0.0 + 0.0j
-        for i in range(xs.shape[0]):
-            acc += ys[i] / (w - xs[i])
-        return acc
+        return (ys[None, :] / (z[:, None] - xs[None, :])).sum(axis=1)
     elif kind == 1:
-        u = w - c0
-        edge = 2.0 * math.sqrt(c1)
-        s = cmath.sqrt(u - edge) * cmath.sqrt(u + edge)
-        return 2.0 / (u + s)
-    else:
-        n = xs.shape[0]
-        dx = (xs[n - 1] - xs[0]) / (n - 1)
-        acc = 0.5 * (ys[0] / (w - xs[0]) + ys[n - 1] / (w - xs[n - 1]))
-        for i in range(1, n - 1):
-            acc += ys[i] / (w - xs[i])
-        return acc * dx
-
-
-def _f_df_scalar(kind, c0, c1, xs, ys, w):
-    """Reciprocal Cauchy transform F = 1/G and its derivative at w."""
-    if kind == 1:
-        u = w - c0
-        edge = 2.0 * math.sqrt(c1)
-        s = cmath.sqrt(u - edge) * cmath.sqrt(u + edge)
-        return 0.5 * (u + s), 0.5 * (1.0 + u / s)
-    if kind == 0:
-        g = 0.0 + 0.0j
-        dg = 0.0 + 0.0j
-        for i in range(xs.shape[0]):
-            r = 1.0 / (w - xs[i])
-            g += ys[i] * r
-            dg -= ys[i] * r * r
-        return 1.0 / g, -dg / (g * g)
-    n = xs.shape[0]
-    dx = (xs[n - 1] - xs[0]) / (n - 1)
-    r0 = 1.0 / (w - xs[0])
-    rn = 1.0 / (w - xs[n - 1])
-    g = 0.5 * (ys[0] * r0 + ys[n - 1] * rn)
-    dg = -0.5 * (ys[0] * r0 * r0 + ys[n - 1] * rn * rn)
-    for i in range(1, n - 1):
-        r = 1.0 / (w - xs[i])
-        g += ys[i] * r
-        dg -= ys[i] * r * r
-    g *= dx
-    dg *= dx
-    return 1.0 / g, -dg / (g * g)
-
-
-def _cauchy_loop(z, kind, c0, c1, xs, ys):
-    out = np.empty(z.shape[0], np.complex128)
-    for i in range(z.shape[0]):
-        out[i] = _g_scalar(kind, c0, c1, xs, ys, z[i])
-    return out
-
-
-def _nfold_omega_loop(z, kind, c0, c1, xs, ys, nfold, tol, max_iter, damp_after):
-    """Solve n*w - (n-1) F(w) = z per point; returns (omega, iters, resid)."""
-    m = z.shape[0]
-    omega = np.empty(m, np.complex128)
-    iters = np.empty(m, np.int64)
-    resid = np.empty(m, np.float64)
-    w_prev = 0.0 + 0.0j
-    z_prev = 0.0 + 0.0j
-    have_prev = False
-    for i in range(m):
-        zi = z[i]
-        w = w_prev + (zi - z_prev) if have_prev else zi
-        if w.imag <= 0.0:
-            w = zi
-        it = 0
-        since = 0
-        while it < max_iter:
-            f, df = _f_df_scalar(kind, c0, c1, xs, ys, w)
-            mapped = (zi + (nfold - 1.0) * f) / nfold
-            if abs(mapped - w) < tol * (1.0 + abs(w)):
-                break
-            picard = mapped
-            if it >= damp_after:
-                picard = 0.5 * (picard + w)
-            w_new = picard
-            if since >= _PICARD_WARMUP:
-                denom = nfold - (nfold - 1.0) * df
-                if abs(denom) > 1e-300:
-                    cand = w - (nfold * w - (nfold - 1.0) * f - zi) / denom
-                    if cand.imag > 0.0:
-                        w_new = cand
-            delta = abs(w_new - w)
-            w = w_new
-            it += 1
-            since += 1
-            if delta < tol * (1.0 + abs(w)):
-                break
-            if it == _RESTART_AT and have_prev:
-                w = zi
-                since = 0
-        f, df = _f_df_scalar(kind, c0, c1, xs, ys, w)
-        resid[i] = abs((zi + (nfold - 1.0) * f) / nfold - w)
-        omega[i] = w
-        iters[i] = it
-        w_prev = w
-        z_prev = zi
-        have_prev = True
-    return omega, iters, resid
-
-
-def _pair_omega_loop(
-    z, ka, a0, a1, axs, ays, kb, b0, b1, bxs, bys, tol, max_iter, damp_after
-):
-    """Solve w = z + h_b(z + h_a(w)), h = F - id, per point.
-
-    Returns (omega1, omega2, iterations, residual); omega1 feeds G_a,
-    omega2 = z + h_a(omega1) feeds G_b.
-    """
-    m = z.shape[0]
-    om1 = np.empty(m, np.complex128)
-    om2 = np.empty(m, np.complex128)
-    iters = np.empty(m, np.int64)
-    resid = np.empty(m, np.float64)
-    w_prev = 0.0 + 0.0j
-    z_prev = 0.0 + 0.0j
-    have_prev = False
-    for i in range(m):
-        zi = z[i]
-        w = w_prev + (zi - z_prev) if have_prev else zi
-        if w.imag <= 0.0:
-            w = zi
-        it = 0
-        since = 0
-        inner = zi
-        while it < max_iter:
-            fa, dfa = _f_df_scalar(ka, a0, a1, axs, ays, w)
-            inner = zi + fa - w
-            fb, dfb = _f_df_scalar(kb, b0, b1, bxs, bys, inner)
-            mapped = zi + fb - inner
-            if abs(mapped - w) < tol * (1.0 + abs(w)):
-                break
-            picard = mapped
-            if it >= damp_after:
-                picard = 0.5 * (picard + w)
-            w_new = picard
-            if since >= _PICARD_WARMUP:
-                dpsi = (dfb - 1.0) * (dfa - 1.0) - 1.0
-                if abs(dpsi) > 1e-300:
-                    cand = w - (mapped - w) / dpsi
-                    if cand.imag > 0.0:
-                        w_new = cand
-            delta = abs(w_new - w)
-            w = w_new
-            it += 1
-            since += 1
-            if delta < tol * (1.0 + abs(w)):
-                break
-            if it == _RESTART_AT and have_prev:
-                w = zi
-                since = 0
-        fa, dfa = _f_df_scalar(ka, a0, a1, axs, ays, w)
-        inner = zi + fa - w
-        fb, dfb = _f_df_scalar(kb, b0, b1, bxs, bys, inner)
-        resid[i] = abs(zi + fb - inner - w)
-        om1[i] = w
-        om2[i] = inner
-        iters[i] = it
-        w_prev = w
-        z_prev = zi
-        have_prev = True
-    return om1, om2, iters, resid
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy vectorised backend
-# ---------------------------------------------------------------------------
-
-def _g_vec(kind, c0, c1, xs, ys, w):
-    if kind == 0:
-        return (ys[None, :] / (w[:, None] - xs[None, :])).sum(axis=1)
-    elif kind == 1:
-        u = w - c0
+        u = z - c0
         edge = 2.0 * math.sqrt(c1)
         s = np.sqrt(u - edge) * np.sqrt(u + edge)
         return 2.0 / (u + s)
     else:
         dx = (xs[-1] - xs[0]) / (len(xs) - 1)
-        vals = ys[None, :] / (w[:, None] - xs[None, :])
+        vals = ys[None, :] / (z[:, None] - xs[None, :])
         vals[:, 0] *= 0.5
         vals[:, -1] *= 0.5
         return vals.sum(axis=1) * dx
@@ -273,8 +74,36 @@ def _f_df_vec(kind, c0, c1, xs, ys, w):
     return 1.0 / g, -dg / (g * g)
 
 
-def _nfold_omega_numpy(z, kind, c0, c1, xs, ys, nfold, tol, max_iter, damp_after):
-    w = np.array(z, dtype=np.complex128)
+def _nfold_seed(z, kind, c0, c1, xs, ys, nfold):
+    """Closed-form root of n*w - (n-1) F(w) = z in the upper half plane.
+
+    A holomorphic self-map of the upper half plane has at most one fixed
+    point there, so any upper root is omega(z).  For a semicircle,
+    omega = (z + (n-1) F_nu(z)) / n with nu the n-fold semicircle.  A law
+    of at most two atoms has F(w) = w - m - v / (w - c), with m its mean,
+    v its variance and c = a + b - m, so u = omega - c solves
+    u^2 - zeta u + (n-1) v = 0 with zeta = z - (n-1) m - c: u is the
+    reciprocal Cauchy transform of the semicircle of variance (n-1) v.
+    Written as omega = z - (n-1) m - (n-1) v / F_sc(zeta), the seed has
+    Im omega >= Im z with no cancellation, and equals z at n = 1.  Other
+    descriptors, and any non-finite or non-upper seed, start from w = z.
+    """
+    if kind == 1:
+        f_nu = _f_df_vec(1, nfold * c0, nfold * c1, xs, ys, z)[0]
+        w = (z + (nfold - 1.0) * f_nu) / nfold
+    elif kind == 0 and len(xs) <= 2:
+        mean = ys @ xs
+        s2 = (nfold - 1.0) * (ys @ (xs - mean) ** 2)
+        shifted = z - (nfold - 1.0) * mean
+        w = shifted - s2 / _f_df_vec(1, xs.sum() - mean, s2, xs, ys, shifted)[0]
+    else:
+        return np.array(z, dtype=np.complex128)
+    return np.where(np.isfinite(w) & (w.imag > 0.0), w, z)
+
+
+def nfold_omega(z, kind, c0, c1, xs, ys, nfold, tol, max_iter, damp_after):
+    """Solve n*w - (n-1) F(w) = z per point; returns (omega, iters, resid)."""
+    w = _nfold_seed(z, kind, c0, c1, xs, ys, nfold)
     iters = np.zeros(len(z), dtype=np.int64)
     active = np.ones(len(z), dtype=bool)
     it = 0
@@ -306,9 +135,14 @@ def _nfold_omega_numpy(z, kind, c0, c1, xs, ys, nfold, tol, max_iter, damp_after
     return w, iters, resid
 
 
-def _pair_omega_numpy(
+def pair_omega(
     z, ka, a0, a1, axs, ays, kb, b0, b1, bxs, bys, tol, max_iter, damp_after
 ):
+    """Solve w = z + h_b(z + h_a(w)), h = F - id, per point.
+
+    Returns (omega1, omega2, iterations, residual); omega1 feeds G_a,
+    omega2 = z + h_a(omega1) feeds G_b.
+    """
     w = np.array(z, dtype=np.complex128)
     iters = np.zeros(len(z), dtype=np.int64)
     active = np.ones(len(z), dtype=bool)
@@ -342,17 +176,3 @@ def _pair_omega_numpy(
     fb, _ = _f_df_vec(kb, b0, b1, bxs, bys, inner)
     resid = np.abs(z + fb - inner - w)
     return w, inner, iters, resid
-
-
-if BACKEND == "numba":
-    _g_scalar = njit(cache=True)(_g_scalar)
-    _f_df_scalar = njit(cache=True)(_f_df_scalar)
-    cauchy_vals = njit(cache=True)(_cauchy_loop)
-    nfold_omega = njit(cache=True)(_nfold_omega_loop)
-    pair_omega = njit(cache=True)(_pair_omega_loop)
-else:
-    def cauchy_vals(z, kind, c0, c1, xs, ys):
-        return _g_vec(kind, c0, c1, xs, ys, z)
-
-    nfold_omega = _nfold_omega_numpy
-    pair_omega = _pair_omega_numpy

@@ -227,6 +227,9 @@ class NFoldEvaluator:
     For identical summands the n-fold subordination map collapses to the
     single fixed point w -> (z + (n-1) F(w)) / n, with F the reciprocal
     Cauchy transform of the dilated base; G_{nu}(z) = G_base(omega(z)).
+    For a semicircle or a base of at most two atoms the solver starts from
+    the closed-form fixed point and usually reports 0 iterations; the
+    residual is checked against ``RESIDUAL_ACCEPT`` either way.
     """
 
     def __init__(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -227,41 +228,50 @@ def compute_row(cfg: ExperimentConfig, n: int) -> ExperimentRow:
     )
 
 
+def _write_rows(path: Path, lines: dict) -> None:
+    """Replace the CSV with the header and the non-empty ``lines`` in one step."""
+    tmp = path.with_name(path.name + ".tmp")
+    rows = [line for line in lines.values() if line is not None]
+    tmp.write_text("".join(line + "\n" for line in (CSV_HEADER, *rows)))
+    os.replace(tmp, path)
+
+
 def run_experiment(cfg: ExperimentConfig) -> list:
-    """Run every configured n, streaming rows to the output CSV.
+    """Run every configured n, keeping the output CSV complete at all times.
 
     Completed rows already in the file are kept byte-identical and not
-    recomputed; failed rows are retried.
+    recomputed; failed rows are retried.  The file is first replaced by its
+    completed rows in n order, and again after every computed row, each
+    time through a temp file, so an interrupted run never loses a
+    completed row.
     """
     path = Path(cfg.output)
     done = _parse_rows(path)
+    lines = {n: done.get(n) for n in cfg.n_values}
+    _write_rows(path, lines)
     rows = []
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.flush()
-        for n in cfg.n_values:
-            if n in done:
-                line = done[n]
-                cells = line.split(",")
-                report = met.DistanceReport(
-                    d_kol=float(cells[1]) if cells[1] else float("nan"),
-                    d_tv=float(cells[2]) if cells[2] else None,
-                    d_w1=float(cells[3]) if cells[3] else float("nan"),
-                    mass_deficit=float(cells[4]) if cells[4] else float("nan"),
-                )
-                row = ExperimentRow(
-                    n=n,
-                    report=report,
-                    subord_iters=int(cells[5]),
-                    runtime_ms=float(cells[6]),
-                    line=line,
-                )
-            else:
-                row = compute_row(cfg, n)
-                row.line = _format_row(row, cfg.metrics)
-            fh.write(row.line + "\n")
-            fh.flush()
-            rows.append(row)
+    for n in cfg.n_values:
+        if n in done:
+            line = done[n]
+            cells = line.split(",")
+            report = met.DistanceReport(
+                d_kol=float(cells[1]) if cells[1] else float("nan"),
+                d_tv=float(cells[2]) if cells[2] else None,
+                d_w1=float(cells[3]) if cells[3] else float("nan"),
+                mass_deficit=float(cells[4]) if cells[4] else float("nan"),
+            )
+            row = ExperimentRow(
+                n=n,
+                report=report,
+                subord_iters=int(cells[5]),
+                runtime_ms=float(cells[6]),
+                line=line,
+            )
+        else:
+            row = compute_row(cfg, n)
+            row.line = lines[n] = _format_row(row, cfg.metrics)
+            _write_rows(path, lines)
+        rows.append(row)
     return [(r.n, r.report) for r in rows]
 
 

@@ -135,6 +135,46 @@ class TestRunExperiment:
         assert calls == [16]
         assert second[:3] == first[:3]
 
+    def test_interrupted_resume_keeps_completed_rows(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, n_values=(8, 16, 32))
+        ex.run_experiment(cfg)
+        path = tmp_path / "out.csv"
+        header, row8, row16, row32 = path.read_text().splitlines()
+        failed8 = "8,,,,,-1," + row8.rsplit(",", 1)[1]
+        path.write_text("\n".join([header, failed8, row16, row32]) + "\n")
+
+        def interrupt(cfg_, n_):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ex, "compute_row", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            ex.run_experiment(cfg)
+        assert path.read_text().splitlines() == [header, row16, row32]
+
+        # interrupted after recomputing row 8: row 16 is kept as it was
+        monkeypatch.undo()
+        real = ex.compute_row
+        failed32 = "32,,,,,-1," + row32.rsplit(",", 1)[1]
+        path.write_text("\n".join([header, failed8, row16, failed32]) + "\n")
+
+        def interrupt_at_32(cfg_, n_):
+            if n_ == 32:
+                raise KeyboardInterrupt
+            return real(cfg_, n_)
+
+        monkeypatch.setattr(ex, "compute_row", interrupt_at_32)
+        with pytest.raises(KeyboardInterrupt):
+            ex.run_experiment(cfg)
+        lines = path.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["8", "16"]
+        assert lines[1].split(",")[5] != "-1" and lines[2] == row16
+        assert not (tmp_path / "out.csv.tmp").exists()
+
+        monkeypatch.undo()
+        ex.run_experiment(cfg)
+        final = path.read_text().splitlines()
+        assert final[:3] == lines and final[3].split(",")[0] == "32"
+
     def test_determinism_modulo_runtime(self, tmp_path):
         cfg1 = tiny_config(tmp_path, output=str(tmp_path / "a.csv"))
         cfg2 = tiny_config(tmp_path, output=str(tmp_path / "b.csv"))

@@ -1,87 +1,251 @@
-"""Kernel backends: numba vs numpy agreement and env-flag selection."""
+"""Numpy kernels against scalar loop oracles, and the exact n-fold seeds."""
 
-import os
-import subprocess
-import sys
+import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freestein import _kernels
-from freestein.analytic import MeasureSpec
-
-HAVE_NUMBA = _kernels.BACKEND == "numba"
+from freestein.analytic import GridDensity, MeasureSpec
 
 BERN = MeasureSpec.atomic([(-1.0, 0.5), (1.0, 0.5)])
 SEMI = MeasureSpec.semicircle(0.0, 1.0)
 GRID_Z = (np.linspace(-3, 3, 257) + 1j * 1e-3).astype(complex)
 HIGH_Z = (np.linspace(-3, 3, 31) + 2j).astype(complex)
+_NODES = np.linspace(-2.0, 2.0, 33)
+_ARC = np.sqrt(4.0 - _NODES**2)
+SEMI_GRID = MeasureSpec.from_grid(GridDensity(-2.0, 2.0, _ARC / np.trapezoid(_ARC, _NODES)))
+# laws the n-fold solver starts from w = z; the others start at the exact root
+UNSEEDED = ("three-atom", "grid")
+NFOLD_LAWS = {
+    "one-atom": MeasureSpec.point_mass(0.3),
+    "bernoulli": BERN,
+    "skewed": MeasureSpec.atomic([(2.0, 0.2), (-0.5, 0.8)]),
+    "three-atom": MeasureSpec.atomic([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]),
+    "semicircle": SEMI,
+    "grid": SEMI_GRID,
+}
+# the loop oracles warm-start from the previous point; a warm start can
+# land in a slow basin, so they retry cold once from w = z
+_RESTART_AT = 256
 
+
+# ---------------------------------------------------------------------------
+# scalar loop oracles: one point at a time, plain Python arithmetic
+# ---------------------------------------------------------------------------
+
+def _f_df_scalar(kind, c0, c1, xs, ys, w):
+    """Reciprocal Cauchy transform F = 1/G and its derivative at w."""
+    if kind == 1:
+        u = w - c0
+        edge = 2.0 * math.sqrt(c1)
+        s = cmath.sqrt(u - edge) * cmath.sqrt(u + edge)
+        return 0.5 * (u + s), 0.5 * (1.0 + u / s)
+    if kind == 0:
+        g = 0.0 + 0.0j
+        dg = 0.0 + 0.0j
+        for i in range(xs.shape[0]):
+            r = 1.0 / (w - xs[i])
+            g += ys[i] * r
+            dg -= ys[i] * r * r
+        return 1.0 / g, -dg / (g * g)
+    n = xs.shape[0]
+    dx = (xs[n - 1] - xs[0]) / (n - 1)
+    r0 = 1.0 / (w - xs[0])
+    rn = 1.0 / (w - xs[n - 1])
+    g = 0.5 * (ys[0] * r0 + ys[n - 1] * rn)
+    dg = -0.5 * (ys[0] * r0 * r0 + ys[n - 1] * rn * rn)
+    for i in range(1, n - 1):
+        r = 1.0 / (w - xs[i])
+        g += ys[i] * r
+        dg -= ys[i] * r * r
+    g *= dx
+    dg *= dx
+    return 1.0 / g, -dg / (g * g)
+
+
+def _nfold_omega_loop(z, kind, c0, c1, xs, ys, nfold, tol, max_iter, damp_after):
+    """Solve n*w - (n-1) F(w) = z per point; returns (omega, iters, resid)."""
+    m = z.shape[0]
+    omega = np.empty(m, np.complex128)
+    iters = np.empty(m, np.int64)
+    resid = np.empty(m, np.float64)
+    w_prev = 0.0 + 0.0j
+    z_prev = 0.0 + 0.0j
+    have_prev = False
+    for i in range(m):
+        zi = z[i]
+        w = w_prev + (zi - z_prev) if have_prev else zi
+        if w.imag <= 0.0:
+            w = zi
+        it = 0
+        since = 0
+        while it < max_iter:
+            f, df = _f_df_scalar(kind, c0, c1, xs, ys, w)
+            mapped = (zi + (nfold - 1.0) * f) / nfold
+            if abs(mapped - w) < tol * (1.0 + abs(w)):
+                break
+            picard = mapped
+            if it >= damp_after:
+                picard = 0.5 * (picard + w)
+            w_new = picard
+            if since >= _kernels._PICARD_WARMUP:
+                denom = nfold - (nfold - 1.0) * df
+                if abs(denom) > 1e-300:
+                    cand = w - (nfold * w - (nfold - 1.0) * f - zi) / denom
+                    if cand.imag > 0.0:
+                        w_new = cand
+            delta = abs(w_new - w)
+            w = w_new
+            it += 1
+            since += 1
+            if delta < tol * (1.0 + abs(w)):
+                break
+            if it == _RESTART_AT and have_prev:
+                w = zi
+                since = 0
+        f, df = _f_df_scalar(kind, c0, c1, xs, ys, w)
+        resid[i] = abs((zi + (nfold - 1.0) * f) / nfold - w)
+        omega[i] = w
+        iters[i] = it
+        w_prev = w
+        z_prev = zi
+        have_prev = True
+    return omega, iters, resid
+
+
+def _pair_omega_loop(
+    z, ka, a0, a1, axs, ays, kb, b0, b1, bxs, bys, tol, max_iter, damp_after
+):
+    """Solve w = z + h_b(z + h_a(w)), h = F - id, per point.
+
+    Returns (omega1, omega2, iterations, residual).
+    """
+    m = z.shape[0]
+    om1 = np.empty(m, np.complex128)
+    om2 = np.empty(m, np.complex128)
+    iters = np.empty(m, np.int64)
+    resid = np.empty(m, np.float64)
+    w_prev = 0.0 + 0.0j
+    z_prev = 0.0 + 0.0j
+    have_prev = False
+    for i in range(m):
+        zi = z[i]
+        w = w_prev + (zi - z_prev) if have_prev else zi
+        if w.imag <= 0.0:
+            w = zi
+        it = 0
+        since = 0
+        inner = zi
+        while it < max_iter:
+            fa, dfa = _f_df_scalar(ka, a0, a1, axs, ays, w)
+            inner = zi + fa - w
+            fb, dfb = _f_df_scalar(kb, b0, b1, bxs, bys, inner)
+            mapped = zi + fb - inner
+            if abs(mapped - w) < tol * (1.0 + abs(w)):
+                break
+            picard = mapped
+            if it >= damp_after:
+                picard = 0.5 * (picard + w)
+            w_new = picard
+            if since >= _kernels._PICARD_WARMUP:
+                dpsi = (dfb - 1.0) * (dfa - 1.0) - 1.0
+                if abs(dpsi) > 1e-300:
+                    cand = w - (mapped - w) / dpsi
+                    if cand.imag > 0.0:
+                        w_new = cand
+            delta = abs(w_new - w)
+            w = w_new
+            it += 1
+            since += 1
+            if delta < tol * (1.0 + abs(w)):
+                break
+            if it == _RESTART_AT and have_prev:
+                w = zi
+                since = 0
+        fa, dfa = _f_df_scalar(ka, a0, a1, axs, ays, w)
+        inner = zi + fa - w
+        fb, dfb = _f_df_scalar(kb, b0, b1, bxs, bys, inner)
+        resid[i] = abs(zi + fb - inner - w)
+        om1[i] = w
+        om2[i] = inner
+        iters[i] = it
+        w_prev = w
+        z_prev = zi
+        have_prev = True
+    return om1, om2, iters, resid
+
+
+# ---------------------------------------------------------------------------
+# kernels against the oracles
+# ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("z", [GRID_Z, HIGH_Z], ids=["near-axis", "high"])
 @pytest.mark.parametrize("mu", [BERN, SEMI], ids=["atomic", "semicircle"])
 def test_cauchy_backends_agree(mu, z):
-    active = _kernels.cauchy_vals(z, *mu.descriptor())
-    reference = _kernels._g_vec(*mu.descriptor()[:3], *mu.descriptor()[3:], z)
+    desc = mu.descriptor()
+    active = _kernels.cauchy_vals(z, *desc)
+    reference = np.array([1.0 / _f_df_scalar(*desc, zi)[0] for zi in z])
     assert np.abs(active - reference).max() < 1e-13
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend not active")
-@pytest.mark.parametrize("n", [2, 16, 128])
-def test_nfold_backends_agree(n):
-    import math
-
-    desc = BERN.dilate(1.0 / math.sqrt(n)).descriptor()
+@pytest.mark.parametrize("z", [GRID_Z, HIGH_Z], ids=["near-axis", "high"])
+@pytest.mark.parametrize("n", [1, 2, 16, 128, 4096])
+@pytest.mark.parametrize("law", list(NFOLD_LAWS))
+def test_nfold_matches_loop_oracle(law, n, z):
+    mu = NFOLD_LAWS[law]
+    desc = mu.dilate(1.0 / math.sqrt(n)).descriptor()
     args = (float(n), 1e-13, 10_000, 1_000)
-    om_nb, _, res_nb = _kernels.nfold_omega(GRID_Z, *desc, *args)
-    om_np, _, res_np = _kernels._nfold_omega_numpy(GRID_Z, *desc, *args)
-    # same fixed point regardless of iteration path
-    assert np.abs(om_nb - om_np).max() < 1e-10
-    assert res_nb.max() < 1e-10 and res_np.max() < 1e-10
+    om, iters, res = _kernels.nfold_omega(z, *desc, *args)
+    om_ref, _, res_ref = _nfold_omega_loop(z, *desc, *args)
+    assert res_ref.max() < 1e-10
+    assert res.max() <= 1e-12
+    # the oracle stops about n * tol short of the root, so compare transforms
+    g = _kernels.cauchy_vals(om, *desc)
+    g_ref = _kernels.cauchy_vals(om_ref, *desc)
+    assert np.abs(g - g_ref).max() <= 1e-8
+    if law not in UNSEEDED:
+        assert iters.max() == 0  # the exact seed settles at the first check
+    if n == 1:
+        assert np.all(np.abs(om - z) <= 1e-12 * (1.0 + np.abs(z)))
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend not active")
-def test_pair_backends_agree():
+def test_pair_matches_loop_oracle():
     da = BERN.dilate(0.7)
     db = SEMI.dilate(0.5)
     args = (1e-13, 10_000, 1_000)
-    o1_nb, o2_nb, _, _ = _kernels.pair_omega(GRID_Z, *da.descriptor(), *db.descriptor(), *args)
-    o1_np, o2_np, _, _ = _kernels._pair_omega_numpy(
-        GRID_Z, *da.descriptor(), *db.descriptor(), *args
-    )
-    assert np.abs(o1_nb - o1_np).max() < 1e-10
+    o1, o2, _, _ = _kernels.pair_omega(GRID_Z, *da.descriptor(), *db.descriptor(), *args)
+    o1_ref, o2_ref, _, _ = _pair_omega_loop(GRID_Z, *da.descriptor(), *db.descriptor(), *args)
+    assert np.abs(o1 - o1_ref).max() < 1e-10
     # omega2 = z + h_a(omega1) amplifies last-ulp omega1 differences by
     # |F_a'| near spectral edges; the transform values are what must match
-    assert np.abs(o2_nb - o2_np).max() < 1e-7
-    g_nb = _kernels.cauchy_vals(o1_nb, *da.descriptor())
-    g_np = _kernels.cauchy_vals(o1_np, *da.descriptor())
-    assert np.abs(g_nb - g_np).max() < 1e-10
+    assert np.abs(o2 - o2_ref).max() < 1e-7
+    g = _kernels.cauchy_vals(o1, *da.descriptor())
+    g_ref = _kernels.cauchy_vals(o1_ref, *da.descriptor())
+    assert np.abs(g - g_ref).max() < 1e-10
 
 
-@pytest.mark.parametrize("choice,expected", [("numpy", "numpy"), ("auto", None)])
-def test_env_flag_selects_backend(choice, expected):
-    env = dict(os.environ, FREESTEIN_KERNELS=choice)
-    out = subprocess.run(
-        [sys.executable, "-c", "from freestein import _kernels; print(_kernels.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    backend = out.stdout.strip()
-    if expected is None:
-        assert backend in ("numba", "numpy")
-    else:
-        assert backend == expected
-
-
-def test_bad_env_flag_rejected():
-    env = dict(os.environ, FREESTEIN_KERNELS="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", "import freestein._kernels"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    assert "FREESTEIN_KERNELS" in out.stderr
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(-10.0, 10.0),
+    gap=st.floats(1e-3, 20.0),
+    pa=st.floats(1e-3, 1.0 - 1e-3),
+    n=st.integers(1, 10_000),
+    dilated=st.booleans(),
+    x=st.floats(-30.0, 30.0),
+    y=st.floats(1e-4, 10.0),
+)
+def test_two_atom_seed_is_the_upper_root(a, gap, pa, n, dilated, x, y):
+    mu = MeasureSpec.atomic([(a, pa), (a + gap, 1.0 - pa)])
+    if dilated:
+        mu = mu.dilate(1.0 / math.sqrt(n))
+    desc = mu.descriptor()
+    z = complex(x, y)
+    w = complex(_kernels._nfold_seed(np.array([z]), *desc, float(n))[0])
+    # the true subordination function satisfies Im omega >= Im z
+    assert w.imag >= z.imag
+    f, _ = _f_df_scalar(*desc, w)
+    assert abs(n * w - (n - 1) * f - z) <= 1e-12 * n * (1.0 + abs(w))
