@@ -114,10 +114,11 @@ def _parse_partition(blocks_json: str) -> ncpart.NcPartition:
 
 def _cmd_nc(args) -> int:
     if args.what == "count":
+        if not 1 <= args.n <= ncpart.MAX_CATALAN:
+            raise ConfigError(f"nc count supports 1 <= n <= {ncpart.MAX_CATALAN}, got {args.n}")
         print(f"n={args.n} |NC(n)|={ncpart.catalan(args.n)} Bell(n)={ncpart.bell(args.n)}")
         if args.n <= ncpart.MAX_GROUND_SET:
-            enumerated = len(ncpart.enumerate_nc(args.n))
-            print(f"enumerated={enumerated}")
+            print(f"enumerated={len(ncpart.nc_blocks(args.n))}")
         return 0
     if args.what == "mobius":
         if args.p or args.q:

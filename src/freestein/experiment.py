@@ -183,13 +183,13 @@ def _format_row(row: ExperimentRow, wanted) -> str:
 
 
 def _parse_rows(path: Path) -> dict:
-    """Completed rows keyed by n (failed rows are recomputed on resume)."""
+    """Completed rows keyed by n (failed rows are retried); refuses a foreign file."""
     done = {}
     if not path.exists():
         return done
     lines = path.read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        return done
+    if lines and lines[0] != CSV_HEADER:
+        raise ConfigError(f"{path} exists and is not an experiment CSV (bad header)")
     for line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 7 or not cells[0]:
@@ -239,15 +239,15 @@ def _write_rows(path: Path, lines: dict) -> None:
 def run_experiment(cfg: ExperimentConfig) -> list:
     """Run every configured n, keeping the output CSV complete at all times.
 
-    Completed rows already in the file are kept byte-identical and not
-    recomputed; failed rows are retried.  The file is first replaced by its
-    completed rows in n order, and again after every computed row, each
-    time through a temp file, so an interrupted run never loses a
-    completed row.
+    Completed rows already in the file, configured or not, are kept
+    byte-identical and not recomputed; failed rows are retried.  The file
+    is first replaced by its completed rows in n order, and again after
+    every computed row, each time through a temp file, so an interrupted
+    run never loses a completed row.  Only configured rows are returned.
     """
     path = Path(cfg.output)
     done = _parse_rows(path)
-    lines = {n: done.get(n) for n in cfg.n_values}
+    lines = {n: done.get(n) for n in sorted(set(done) | set(cfg.n_values))}
     _write_rows(path, lines)
     rows = []
     for n in cfg.n_values:

@@ -9,7 +9,6 @@ bound through which the non-commutative distance is controlled.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,27 +48,6 @@ def _union_grid(a: GridDensity, b: GridDensity):
     fa = np.interp(xs, a.x, a.values, left=0.0, right=0.0)
     fb = np.interp(xs, b.x, b.values, left=0.0, right=0.0)
     return xs, fa, fb
-
-
-def cdf_from_density(g: GridDensity) -> np.ndarray:
-    """Cumulative trapezoid of the density on its own grid.
-
-    Renormalized so the final value is exactly 1 when the mass deficit is
-    below 1e-3; otherwise the raw CDF is returned with a warning.
-    """
-    x = g.x
-    f = np.asarray(g.values)
-    inc = 0.5 * (f[1:] + f[:-1]) * np.diff(x)
-    cdf = np.concatenate([[0.0], np.cumsum(inc)])
-    if g.mass_deficit < TV_DEFICIT_LIMIT:
-        cdf = cdf / cdf[-1]
-    else:
-        warnings.warn(
-            f"mass deficit {g.mass_deficit:.4f}; CDF left unnormalized",
-            UserWarning,
-            stacklevel=2,
-        )
-    return cdf
 
 
 def _cdf_on(xs: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -5,6 +5,10 @@ refinement order, Kreweras complementation and the Moebius function of the
 lattice.  Everything here is exact integer combinatorics; enumeration is
 capped at n = 12 so that exhaustive tests stay cheap.
 
+The lattice is walked as :func:`nc_blocks`, tuples of shared canonical
+block tuples; :class:`NcPartition` objects are built only at the public
+API, and internal walks such as :func:`nc_kreweras_size_pairs` skip them.
+
 The lattice maps use closed forms.  The Kreweras complement is the cycle
 decomposition of the permutation P_pi^{-1} gamma with gamma = (1 2 ... n)
 (Biane, Discrete Math. 175, 1997).  The Moebius function factorises over
@@ -110,21 +114,22 @@ class NcPartition:
 
     def block_sizes(self) -> tuple:
         """Block sizes, largest first."""
-        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
+        return _block_sizes(self.blocks)
 
     def rgs(self) -> tuple:
-        """Restricted-growth string: rgs[i] = index of the block of i+1."""
-        label = {}
-        out = []
-        nxt = 0
-        lookup = {e: j for j, b in enumerate(self.blocks) for e in b}
-        for i in range(1, self.n + 1):
-            b = lookup[i]
-            if b not in label:
-                label[b] = nxt
-                nxt += 1
-            out.append(label[b])
+        """Restricted-growth string: rgs[i] = index of the block of i+1.
+
+        Blocks are ordered by least element, so that index is the label.
+        """
+        out = [0] * self.n
+        for j, b in enumerate(self.blocks):
+            for e in b:
+                out[e - 1] = j
         return tuple(out)
+
+
+def _block_sizes(blocks) -> tuple:
+    return tuple(sorted(map(len, blocks), reverse=True))
 
 
 def _from_rgs(rgs) -> NcPartition:
@@ -186,30 +191,38 @@ def is_noncrossing(p: NcPartition) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_nc_cached(n: int) -> tuple:
-    """NC(n) in descending RGS order: 0-hat first, 1-hat last.
+def nc_blocks(n: int) -> tuple:
+    """NC(n) as shared canonical block tuples, in descending RGS order.
 
-    Elements are placed left to right.  A block stays open while no later
-    element has joined a block created before it; element i either opens
-    a new block or joins an open block, which closes every block opened
-    after that one.  Trying the new block first and then the open blocks
-    innermost first tries the RGS labels of i in descending order.
+    0-hat comes first and 1-hat last.  Elements are placed left to right.
+    A block stays open while no later element has joined a block created
+    before it; element i either opens a new block or joins an open block,
+    which closes every block opened after that one.  Trying the new block
+    first and then the open blocks innermost first tries the RGS labels of
+    i in descending order.
     """
+    _check_bound(n)
     out = []
     blocks = []  # in creation order, i.e. by least element
 
     def rec(i: int, open_blocks: tuple) -> None:
-        if i > n:
-            out.append(NcPartition(n, tuple(map(tuple, blocks)), _validated=True))
+        if i == n:  # the choices of the last element are the leaves
+            out.append((*blocks, (n,)))
+            for j in reversed(open_blocks):
+                b = blocks[j]
+                blocks[j] = b + (n,)
+                out.append(tuple(blocks))
+                blocks[j] = b
             return
-        blocks.append([i])
+        blocks.append((i,))
         rec(i + 1, open_blocks + (len(blocks) - 1,))
         blocks.pop()
         for depth in range(len(open_blocks) - 1, -1, -1):
-            b = blocks[open_blocks[depth]]
-            b.append(i)
+            j = open_blocks[depth]
+            b = blocks[j]
+            blocks[j] = b + (i,)
             rec(i + 1, open_blocks[: depth + 1])
-            b.pop()
+            blocks[j] = b
 
     rec(1, ())
     return tuple(out)
@@ -217,8 +230,7 @@ def _enumerate_nc_cached(n: int) -> tuple:
 
 def enumerate_nc(n: int) -> list:
     """All non-crossing partitions of [n]; exactly Catalan(n) of them."""
-    _check_bound(n)
-    return list(_enumerate_nc_cached(n))
+    return [NcPartition(n, b, _validated=True) for b in nc_blocks(n)]
 
 
 def leq(p: NcPartition, q: NcPartition) -> bool:
@@ -245,13 +257,17 @@ def kreweras(p: NcPartition) -> NcPartition:
     """
     if not is_noncrossing(p):
         raise ValueError("Kreweras complement requires a non-crossing partition")
-    n = p.n
+    return NcPartition(p.n, _kreweras_blocks(p.n, p.blocks), _validated=True)
+
+
+def _kreweras_blocks(n: int, blocks: tuple) -> tuple:
+    """Canonical blocks of K(pi) for the non-crossing blocks of pi (unchecked)."""
     prev = [0] * (n + 1)  # P_pi^{-1}: each element to its predecessor in its block
-    for b in p.blocks:
+    for b in blocks:
         for j, e in enumerate(b):
             prev[e] = b[j - 1]
     seen = [False] * (n + 1)
-    blocks = []
+    out = []
     for start in range(1, n + 1):  # a new cycle starts at its least element
         if seen[start]:
             continue
@@ -261,8 +277,8 @@ def kreweras(p: NcPartition) -> NcPartition:
             seen[e] = True
             cycle.append(e)
             e = prev[e % n + 1]
-        blocks.append(tuple(sorted(cycle)))
-    return NcPartition(n, tuple(blocks), _validated=True)
+        out.append(tuple(sorted(cycle)))
+    return tuple(out)
 
 
 def mobius(p: NcPartition, q: NcPartition) -> int:
@@ -343,4 +359,6 @@ def nc_kreweras_size_pairs(n: int) -> tuple:
     """(block sizes of pi, block sizes of K(pi)) for every pi in NC(n)."""
     if n > MAX_KREWERAS_PAIRS:
         raise ValueError(f"Kreweras size-pair table capped at n = {MAX_KREWERAS_PAIRS}")
-    return tuple((p.block_sizes(), kreweras(p).block_sizes()) for p in enumerate_nc(n))
+    return tuple(
+        (_block_sizes(b), _block_sizes(_kreweras_blocks(n, b))) for b in nc_blocks(n)
+    )

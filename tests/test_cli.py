@@ -102,6 +102,20 @@ class TestNc:
     def test_mobius_ground_set_bound_exits_3(self, n):
         assert run(["nc", "mobius", "-n", n]) == 3
 
+    @pytest.mark.parametrize("n", ["0", "-1", "31"])
+    def test_count_bad_n_exits_2(self, n, capsys):
+        assert run(["nc", "count", "-n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+
+    def test_count_enumerates_up_to_the_ground_set_bound(self, capsys):
+        assert run(["nc", "count", "-n", "12"]) == 0
+        assert "enumerated=208012" in capsys.readouterr().out
+        assert run(["nc", "count", "-n", "30"]) == 0
+        out = capsys.readouterr().out
+        assert "|NC(n)|=3814986502092304" in out and "enumerated" not in out
+
 
 class TestBerryEsseenAndFit:
     @pytest.fixture()
@@ -142,6 +156,16 @@ class TestBerryEsseenAndFit:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"output": "x.csv", "extra": 1}))
         assert run(["berry-esseen", "--config", str(cfg_path)]) == 2
+
+    def test_foreign_output_file_exits_2(self, tmp_path):
+        out = tmp_path / "notes.csv"
+        out.write_text("a,b\n1,2\n")
+        cfg = {
+            "base_measure": {"type": "atomic", "atoms": [[1.0, 0.5], [-1.0, 0.5]]},
+            "output": str(out),
+        }
+        assert run(["berry-esseen", "--config", json.dumps(cfg)]) == 2
+        assert out.read_text() == "a,b\n1,2\n"
 
     def test_missing_config_file_exits_2(self):
         assert run(["berry-esseen", "--config", "/nonexistent/cfg.json"]) == 2

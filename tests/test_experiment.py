@@ -175,6 +175,42 @@ class TestRunExperiment:
         final = path.read_text().splitlines()
         assert final[:3] == lines and final[3].split(",")[0] == "32"
 
+    def test_rerun_with_fewer_n_keeps_the_other_rows(self, tmp_path, monkeypatch):
+        ex.run_experiment(tiny_config(tmp_path, n_values=(8, 16, 32)))
+        path = tmp_path / "out.csv"
+        first = path.read_text().splitlines()
+        assert len(first) == 4
+
+        def no_compute(cfg_, n_):
+            raise AssertionError(f"row {n_} recomputed")
+
+        monkeypatch.setattr(ex, "compute_row", no_compute)
+        rows = ex.run_experiment(tiny_config(tmp_path, n_values=(8, 16)))
+        assert [n for n, _ in rows] == [8, 16]
+        assert path.read_text().splitlines() == first
+
+        # a run of other n values merges its rows in n order
+        monkeypatch.undo()
+        rows = ex.run_experiment(tiny_config(tmp_path, n_values=(4, 24)))
+        assert [n for n, _ in rows] == [4, 24]
+        lines = path.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["4", "8", "16", "24", "32"]
+        assert [lines[0], *lines[2:4], lines[5]] == first
+
+    def test_foreign_csv_is_refused_and_left_untouched(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        foreign = "x,y\n1,2\n"
+        path.write_text(foreign)
+
+        def no_compute(cfg_, n_):
+            raise AssertionError(f"row {n_} computed")
+
+        monkeypatch.setattr(ex, "compute_row", no_compute)
+        with pytest.raises(ConfigError, match="not an experiment CSV"):
+            ex.run_experiment(tiny_config(tmp_path))
+        assert path.read_text() == foreign
+        assert not (tmp_path / "out.csv.tmp").exists()
+
     def test_determinism_modulo_runtime(self, tmp_path):
         cfg1 = tiny_config(tmp_path, output=str(tmp_path / "a.csv"))
         cfg2 = tiny_config(tmp_path, output=str(tmp_path / "b.csv"))

@@ -1,9 +1,10 @@
 """Lattice combinatorics: enumeration, Kreweras, Moebius.
 
 Brute-force oracles live here, against which the closed forms in
-:mod:`freestein.ncpart` are pinned: the Kreweras complement is re-derived
-by exhaustive search over compatible complements and by greedy pairwise
-merging, and the Moebius function by its defining interval recursion.
+:mod:`freestein.ncpart` are pinned: NC(n) is re-enumerated by a plain
+open-block recursion, the Kreweras complement is re-derived by exhaustive
+search over compatible complements and by greedy pairwise merging, and the
+Moebius function by its defining interval recursion.
 """
 
 import math
@@ -20,6 +21,34 @@ from freestein.ncpart import NcPartition
 # B_0..B_10 and C_0..C_10, by hand / Bell triangle
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
+
+
+def recursive_nc(n: int) -> list:
+    """Oracle: NC(n) as block tuples in descending RGS order.
+
+    Element i either opens a new block or joins a block that is still open,
+    which closes every block opened after it; new block first, then the
+    open blocks innermost first.  Blocks are mutable lists, copied at
+    every leaf.
+    """
+    out = []
+    blocks = []
+
+    def rec(i: int, open_blocks: tuple) -> None:
+        if i > n:
+            out.append(tuple(map(tuple, blocks)))
+            return
+        blocks.append([i])
+        rec(i + 1, open_blocks + (len(blocks) - 1,))
+        blocks.pop()
+        for depth in range(len(open_blocks) - 1, -1, -1):
+            b = blocks[open_blocks[depth]]
+            b.append(i)
+            rec(i + 1, open_blocks[: depth + 1])
+            b.pop()
+
+    rec(1, ())
+    return out
 
 
 def interlace(p: NcPartition, comp_blocks) -> NcPartition:
@@ -125,6 +154,11 @@ class TestEnumeration:
             assert parts[0] == NcPartition.zero(n)
             assert parts[-1] == NcPartition.one(n)
 
+    def test_rgs_labels_blocks_by_first_appearance(self):
+        assert NcPartition(5, [(4,), (2, 5), (1, 3)]).rgs() == (0, 1, 0, 2, 1)
+        assert NcPartition.zero(3).rgs() == (0, 1, 2)
+        assert NcPartition.one(3).rgs() == (0, 0, 0)
+
     def test_partitions_rgs_lex_order(self):
         parts = ncpart.enumerate_partitions(4)
         rgs = [p.rgs() for p in parts]
@@ -136,6 +170,17 @@ class TestEnumeration:
             ncpart.enumerate_partitions(n)
         with pytest.raises(ValueError):
             ncpart.enumerate_nc(n)
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_nc_blocks_match_recursive_oracle(self, n):
+        want = recursive_nc(n)
+        assert list(ncpart.nc_blocks(n)) == want
+        assert [p.blocks for p in ncpart.enumerate_nc(n)] == want
+
+    @pytest.mark.parametrize("n", [0, 13])
+    def test_nc_blocks_bounds(self, n):
+        with pytest.raises(ValueError):
+            ncpart.nc_blocks(n)
 
 
 class TestCrossing:
@@ -305,6 +350,14 @@ class TestTypeCounts:
     def test_totals(self):
         for n in range(1, 13):
             assert sum(ncpart.nc_type_counts(n).values()) == ncpart.catalan(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kreweras_size_pairs_match_partitions(n):
+    want = tuple(
+        (p.block_sizes(), ncpart.kreweras(p).block_sizes()) for p in ncpart.enumerate_nc(n)
+    )
+    assert ncpart.nc_kreweras_size_pairs(n) == want
 
 
 def test_kreweras_size_pairs_cap():
