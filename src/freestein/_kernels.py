@@ -6,13 +6,16 @@ records.  Measures enter as a flat descriptor ``(kind, c0, c1, xs, ys)``:
 
 * kind 0: atomic       -- xs positions, ys weights
 * kind 1: semicircle   -- c0 mean, c1 variance
-* kind 2: grid density -- xs uniform nodes, ys values (trapezoid rule)
+* kind 2: grid density -- xs uniform nodes, ys values times trapezoid weights
 
-The fixed-point solvers run a short Picard warmup and then safeguarded
-Newton steps on the subordination equation; plain Picard stalls near
-spectral edges, where the map derivative approaches 1.  A Newton candidate
-leaving the upper half plane falls back to the Picard step (damped 0.5
-after ``DEFAULT_DAMP_AFTER`` iterations).
+Atoms and grids share one weighted node sum, G(w) = sum ys / (w - xs),
+so kind 2 differs from kind 0 only as a label (grids are never seeded).
+
+Both solvers run one loop, :func:`_solve`: a short Picard warmup and then
+safeguarded Newton steps on w = Phi(w); plain Picard stalls near spectral
+edges, where Phi'(w) approaches 1.  A Newton candidate leaving the upper
+half plane falls back to the Picard step (damped 0.5 after
+``DEFAULT_DAMP_AFTER`` iterations).
 
 The n-fold solver starts from the exact fixed point where it has a closed
 form (semicircle, one or two atoms, see :func:`_nfold_seed`) and from
@@ -35,43 +38,25 @@ _PICARD_WARMUP = 8
 
 def cauchy_vals(z, kind, c0, c1, xs, ys):
     """G(z) = integral of 1/(z - x) for one descriptor, Im z > 0."""
-    if kind == 0:
-        return (ys[None, :] / (z[:, None] - xs[None, :])).sum(axis=1)
-    elif kind == 1:
+    if kind == 1:
         u = z - c0
         edge = 2.0 * math.sqrt(c1)
         s = np.sqrt(u - edge) * np.sqrt(u + edge)
         return 2.0 / (u + s)
-    else:
-        dx = (xs[-1] - xs[0]) / (len(xs) - 1)
-        vals = ys[None, :] / (z[:, None] - xs[None, :])
-        vals[:, 0] *= 0.5
-        vals[:, -1] *= 0.5
-        return vals.sum(axis=1) * dx
+    return (1.0 / (z[:, None] - xs)) @ ys
 
 
 def _f_df_vec(kind, c0, c1, xs, ys, w):
+    """Reciprocal Cauchy transform F = 1/G and its derivative at w."""
     if kind == 1:
         u = w - c0
         edge = 2.0 * math.sqrt(c1)
         s = np.sqrt(u - edge) * np.sqrt(u + edge)
         return 0.5 * (u + s), 0.5 * (1.0 + u / s)
-    if kind == 0:
-        r = 1.0 / (w[:, None] - xs[None, :])
-        g = (ys[None, :] * r).sum(axis=1)
-        dg = -(ys[None, :] * r * r).sum(axis=1)
-        return 1.0 / g, -dg / (g * g)
-    dx = (xs[-1] - xs[0]) / (len(xs) - 1)
-    r = 1.0 / (w[:, None] - xs[None, :])
-    gv = ys[None, :] * r
-    dgv = -(ys[None, :] * r * r)
-    gv[:, 0] *= 0.5
-    gv[:, -1] *= 0.5
-    dgv[:, 0] *= 0.5
-    dgv[:, -1] *= 0.5
-    g = gv.sum(axis=1) * dx
-    dg = dgv.sum(axis=1) * dx
-    return 1.0 / g, -dg / (g * g)
+    r = 1.0 / (w[:, None] - xs)
+    g = r @ ys
+    # F' = -G'/G^2 with G' = -sum ys r^2
+    return 1.0 / g, ((r * r) @ ys) / (g * g)
 
 
 def _nfold_seed(z, kind, c0, c1, xs, ys, nfold):
@@ -101,27 +86,28 @@ def _nfold_seed(z, kind, c0, c1, xs, ys, nfold):
     return np.where(np.isfinite(w) & (w.imag > 0.0), w, z)
 
 
-def nfold_omega(z, kind, c0, c1, xs, ys, nfold, tol, max_iter, damp_after):
-    """Solve n*w - (n-1) F(w) = z per point; returns (omega, iters, resid)."""
-    w = _nfold_seed(z, kind, c0, c1, xs, ys, nfold)
+def _solve(z, w0, phi, tol, max_iter, damp_after):
+    """Iterate w = Phi(w) per point from w0; returns (w, iters, resid).
+
+    ``phi(z, w)`` returns Phi(w) and Phi'(w) for the given points.  The
+    Newton candidate is w - (Phi(w) - w) / (Phi'(w) - 1) and the residual
+    is |Phi(w) - w| at the returned w.
+    """
+    w = np.array(w0, dtype=np.complex128)
     iters = np.zeros(len(z), dtype=np.int64)
     active = np.ones(len(z), dtype=bool)
     it = 0
     while active.any() and it < max_iter:
         wa = w[active]
-        za = z[active]
-        f, df = _f_df_vec(kind, c0, c1, xs, ys, wa)
-        mapped = (za + (nfold - 1.0) * f) / nfold
-        scale = tol * (1.0 + np.abs(wa))
-        settled = np.abs(mapped - wa) < scale
+        mapped, dmapped = phi(z[active], wa)
+        settled = np.abs(mapped - wa) < tol * (1.0 + np.abs(wa))
         picard = mapped
         if it >= damp_after:
             picard = 0.5 * (picard + wa)
         w_new = picard
         if it >= _PICARD_WARMUP:
-            denom = nfold - (nfold - 1.0) * df
             with np.errstate(divide="ignore", invalid="ignore"):
-                cand = wa - (nfold * wa - (nfold - 1.0) * f - za) / denom
+                cand = wa - (mapped - wa) / (dmapped - 1.0)
             ok = np.isfinite(cand) & (cand.imag > 0.0)
             w_new = np.where(ok, cand, picard)
         w_new = np.where(settled, wa, w_new)
@@ -130,9 +116,18 @@ def nfold_omega(z, kind, c0, c1, xs, ys, nfold, tol, max_iter, damp_after):
         iters[active] += ~settled
         active[active] = ~settled & (delta >= tol * (1.0 + np.abs(w_new)))
         it += 1
-    f, _ = _f_df_vec(kind, c0, c1, xs, ys, w)
-    resid = np.abs((z + (nfold - 1.0) * f) / nfold - w)
-    return w, iters, resid
+    return w, iters, np.abs(phi(z, w)[0] - w)
+
+
+def nfold_omega(z, kind, c0, c1, xs, ys, nfold, tol, max_iter, damp_after):
+    """Solve n*w - (n-1) F(w) = z per point; returns (omega, iters, resid)."""
+
+    def phi(zs, w):
+        f, df = _f_df_vec(kind, c0, c1, xs, ys, w)
+        return (zs + (nfold - 1.0) * f) / nfold, (nfold - 1.0) / nfold * df
+
+    w0 = _nfold_seed(z, kind, c0, c1, xs, ys, nfold)
+    return _solve(z, w0, phi, tol, max_iter, damp_after)
 
 
 def pair_omega(
@@ -143,36 +138,13 @@ def pair_omega(
     Returns (omega1, omega2, iterations, residual); omega1 feeds G_a,
     omega2 = z + h_a(omega1) feeds G_b.
     """
-    w = np.array(z, dtype=np.complex128)
-    iters = np.zeros(len(z), dtype=np.int64)
-    active = np.ones(len(z), dtype=bool)
-    it = 0
-    while active.any() and it < max_iter:
-        wa = w[active]
-        za = z[active]
-        fa, dfa = _f_df_vec(ka, a0, a1, axs, ays, wa)
-        inner = za + fa - wa
+
+    def phi(zs, w):
+        fa, dfa = _f_df_vec(ka, a0, a1, axs, ays, w)
+        inner = zs + fa - w
         fb, dfb = _f_df_vec(kb, b0, b1, bxs, bys, inner)
-        mapped = za + fb - inner
-        settled = np.abs(mapped - wa) < tol * (1.0 + np.abs(wa))
-        picard = mapped
-        if it >= damp_after:
-            picard = 0.5 * (picard + wa)
-        w_new = picard
-        if it >= _PICARD_WARMUP:
-            dpsi = (dfb - 1.0) * (dfa - 1.0) - 1.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand = wa - (mapped - wa) / dpsi
-            ok = np.isfinite(cand) & (cand.imag > 0.0)
-            w_new = np.where(ok, cand, picard)
-        w_new = np.where(settled, wa, w_new)
-        delta = np.abs(w_new - wa)
-        w[active] = w_new
-        iters[active] += ~settled
-        active[active] = ~settled & (delta >= tol * (1.0 + np.abs(w_new)))
-        it += 1
-    fa, _ = _f_df_vec(ka, a0, a1, axs, ays, w)
-    inner = z + fa - w
-    fb, _ = _f_df_vec(kb, b0, b1, bxs, bys, inner)
-    resid = np.abs(z + fb - inner - w)
+        return zs + fb - inner, (dfb - 1.0) * (dfa - 1.0)
+
+    w, iters, resid = _solve(z, z, phi, tol, max_iter, damp_after)
+    inner = z + _f_df_vec(ka, a0, a1, axs, ays, w)[0] - w
     return w, inner, iters, resid

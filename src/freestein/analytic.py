@@ -73,6 +73,7 @@ class GridDensity:
 
     @classmethod
     def from_csv(cls, path) -> "GridDensity":
+        """Read an ``x,density`` CSV whose x column is uniform (at least 2 rows)."""
         xs, vs = [], []
         with open(path) as fh:
             header = fh.readline().strip()
@@ -82,6 +83,11 @@ class GridDensity:
                 a, b = line.strip().split(",")
                 xs.append(float(a))
                 vs.append(float(b))
+        if len(xs) < 2:
+            raise ValueError(f"{path}: need at least 2 density rows, got {len(xs)}")
+        gap = np.abs(np.array(xs) - np.linspace(xs[0], xs[-1], len(xs))).max()
+        if gap > 1e-9 * abs(xs[-1] - xs[0]):
+            raise ValueError(f"{path}: x column is not uniform (off by {gap:.3e})")
         return cls(xs[0], xs[-1], vs)
 
     def __repr__(self) -> str:
@@ -129,7 +135,13 @@ class MeasureSpec:
         return cls.atomic([(c, 1.0)])
 
     def descriptor(self) -> tuple:
-        """Flat (kind, c0, c1, xs, ys) encoding consumed by the kernels."""
+        """Flat (kind, c0, c1, xs, ys) encoding consumed by the kernels.
+
+        Atoms give positions and weights (kind 0), a semicircle its mean
+        and variance (kind 1).  A grid (kind 2) gives its nodes and its
+        values times the trapezoid weights dx * [1/2, 1, ..., 1, 1/2], so
+        the kernels sum atoms and grid nodes alike.
+        """
         empty = np.empty(0, dtype=float)
         if self.kind == "atomic":
             pos = np.array([p for p, _ in self.atoms], dtype=float)
@@ -137,7 +149,10 @@ class MeasureSpec:
             return (0, 0.0, 0.0, pos, wts)
         if self.kind == "semicircle":
             return (1, self.mean, self.variance, empty, empty)
-        return (2, 0.0, 0.0, self.grid.x, np.asarray(self.grid.values, dtype=float))
+        grid = self.grid
+        wts = np.full(grid.n_points, (grid.hi - grid.lo) / (grid.n_points - 1))
+        wts[[0, -1]] *= 0.5
+        return (2, 0.0, 0.0, grid.x, grid.values * wts)
 
     @property
     def support_radius(self) -> float:

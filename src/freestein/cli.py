@@ -112,15 +112,20 @@ def _parse_partition(blocks_json: str) -> ncpart.NcPartition:
         raise ConfigError(f"bad partition {blocks_json!r}: {exc}") from exc
 
 
+def _require_n(args, hi: int) -> None:
+    if not 1 <= args.n <= hi:
+        raise ConfigError(f"nc {args.what} supports 1 <= n <= {hi}, got {args.n}")
+
+
 def _cmd_nc(args) -> int:
     if args.what == "count":
-        if not 1 <= args.n <= ncpart.MAX_CATALAN:
-            raise ConfigError(f"nc count supports 1 <= n <= {ncpart.MAX_CATALAN}, got {args.n}")
+        _require_n(args, ncpart.MAX_CATALAN)
         print(f"n={args.n} |NC(n)|={ncpart.catalan(args.n)} Bell(n)={ncpart.bell(args.n)}")
         if args.n <= ncpart.MAX_GROUND_SET:
             print(f"enumerated={len(ncpart.nc_blocks(args.n))}")
         return 0
     if args.what == "mobius":
+        _require_n(args, ncpart.MAX_GROUND_SET)
         if args.p or args.q:
             p = _parse_partition(args.p) if args.p else ncpart.NcPartition.zero(args.n)
             q = _parse_partition(args.q) if args.q else ncpart.NcPartition.one(args.n)

@@ -182,22 +182,40 @@ def _format_row(row: ExperimentRow, wanted) -> str:
     return ",".join(cells)
 
 
-def _parse_rows(path: Path) -> dict:
-    """Completed rows keyed by n (failed rows are retried); refuses a foreign file."""
-    done = {}
-    if not path.exists():
-        return done
-    lines = path.read_text().splitlines()
-    if lines and lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path} exists and is not an experiment CSV (bad header)")
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != 7 or not cells[0]:
-            continue
-        if cells[5] == "-1":
-            continue
-        done[int(cells[0])] = line
-    return done
+def _decode_row(path, lineno: int, line: str) -> ExperimentRow:
+    """One CSV line as a row; empty distance cells read as nan (d_tv as None)."""
+    cells = line.split(",")
+    if len(cells) != 7:
+        raise ConfigError(f"{path}, line {lineno}: expected 7 cells, got {len(cells)}")
+    try:
+        n, iters, runtime_ms = int(cells[0]), int(cells[5]), float(cells[6])
+        d_kol, d_tv, d_w1, deficit = (float(c) if c else math.nan for c in cells[1:5])
+    except ValueError as exc:
+        raise ConfigError(f"{path}, line {lineno}: {exc}") from exc
+    report = None
+    if iters != -1:
+        report = met.DistanceReport(d_kol, d_tv if cells[2] else None, d_w1, deficit)
+    return ExperimentRow(n=n, report=report, subord_iters=iters, runtime_ms=runtime_ms, line=line)
+
+
+def read_rows(path) -> list:
+    """The rows of an experiment CSV in file order, blank lines skipped.
+
+    Raises :class:`ConfigError` when the file cannot be read, its first
+    line is not ``CSV_HEADER``, or a line has the wrong cell count or a
+    non-numeric cell (naming the file and line number).
+    """
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not lines or lines[0] != CSV_HEADER:
+        raise ConfigError(f"{path} is not an experiment CSV (bad header)")
+    return [
+        _decode_row(path, lineno, line)
+        for lineno, line in enumerate(lines[1:], start=2)
+        if line.strip()
+    ]
 
 
 def compute_row(cfg: ExperimentConfig, n: int) -> ExperimentRow:
@@ -246,28 +264,16 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     run never loses a completed row.  Only configured rows are returned.
     """
     path = Path(cfg.output)
-    done = _parse_rows(path)
-    lines = {n: done.get(n) for n in sorted(set(done) | set(cfg.n_values))}
+    done = {}
+    if path.exists() and path.stat().st_size:
+        done = {row.n: row for row in read_rows(path) if not row.failed}
+    ns = sorted(set(done) | set(cfg.n_values))
+    lines = {n: done[n].line if n in done else None for n in ns}
     _write_rows(path, lines)
     rows = []
     for n in cfg.n_values:
-        if n in done:
-            line = done[n]
-            cells = line.split(",")
-            report = met.DistanceReport(
-                d_kol=float(cells[1]) if cells[1] else float("nan"),
-                d_tv=float(cells[2]) if cells[2] else None,
-                d_w1=float(cells[3]) if cells[3] else float("nan"),
-                mass_deficit=float(cells[4]) if cells[4] else float("nan"),
-            )
-            row = ExperimentRow(
-                n=n,
-                report=report,
-                subord_iters=int(cells[5]),
-                runtime_ms=float(cells[6]),
-                line=line,
-            )
-        else:
+        row = done.get(n)
+        if row is None:
             row = compute_row(cfg, n)
             row.line = lines[n] = _format_row(row, cfg.metrics)
             _write_rows(path, lines)
@@ -330,18 +336,8 @@ def fit_rate(points, metric: str = "", floor: float = 0.0) -> RateFit:
 
 
 def load_distance_column(path, metric: str) -> list:
-    """(n, distance) pairs for one metric from an experiment CSV."""
-    col = {"kol": 1, "tv": 2, "w1": 3}[metric]
-    out = []
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path} is not an experiment CSV (bad header)")
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != 7 or cells[5] == "-1":
-            continue
-        out.append((int(cells[0]), float(cells[col]) if cells[col] else None))
-    return out
+    """(n, distance) pairs for one metric from an experiment CSV; failed rows skipped."""
+    return [(r.n, getattr(r.report, "d_" + metric)) for r in read_rows(path) if not r.failed]
 
 
 def discretization_floor(

@@ -202,6 +202,21 @@ class TestGridDensity:
         assert back.lo == g.lo and back.hi == g.hi
         assert np.array_equal(back.values, g.values)
 
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ("", "at least 2 density rows"),
+            ("0,0.5\n", "at least 2 density rows"),
+            ("0,1\n0.3,1\n1,1\n", "not uniform"),
+        ],
+        ids=["header-only", "one-row", "non-uniform"],
+    )
+    def test_csv_rejects_short_or_non_uniform_files(self, tmp_path, body, match):
+        path = tmp_path / "density.csv"
+        path.write_text("x,density\n" + body)
+        with pytest.raises(ValueError, match=match):
+            an.GridDensity.from_csv(path)
+
 
 class TestMomentsFromEvaluator:
     def test_semicircle_moments(self):

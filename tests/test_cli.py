@@ -30,6 +30,16 @@ class TestMoments:
     def test_bad_measure_exits_2(self, capsys):
         assert run(["moments", "--measure", '{"type":"nope"}']) == 2
 
+    @pytest.mark.parametrize(
+        "body", ["", "0,1\n0.3,1\n1,1\n"], ids=["header-only", "non-uniform"]
+    )
+    def test_bad_grid_file_exits_2(self, tmp_path, body, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("x,density\n" + body)
+        measure = json.dumps({"type": "grid", "path": str(path)})
+        assert run(["moments", "--measure", measure]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestConvolve:
     def test_density_csv(self, tmp_path, capsys):
@@ -99,8 +109,11 @@ class TestNc:
         assert "crossing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", ["0", "13"])
-    def test_mobius_ground_set_bound_exits_3(self, n):
-        assert run(["nc", "mobius", "-n", n]) == 3
+    def test_mobius_ground_set_bound_exits_2(self, n, capsys):
+        assert run(["nc", "mobius", "-n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
 
     @pytest.mark.parametrize("n", ["0", "-1", "31"])
     def test_count_bad_n_exits_2(self, n, capsys):
@@ -166,6 +179,32 @@ class TestBerryEsseenAndFit:
         }
         assert run(["berry-esseen", "--config", json.dumps(cfg)]) == 2
         assert out.read_text() == "a,b\n1,2\n"
+
+    @pytest.mark.parametrize(
+        "bad", ["abc,1,2,3,4,5,6", "64,1,2,3,4,5"], ids=["non-numeric", "six-cells"]
+    )
+    @pytest.mark.parametrize("command", ["berry-esseen", "fit"])
+    def test_corrupt_row_exits_2_and_leaves_the_file(self, small_run, bad, command, capsys):
+        small_run.write_text(small_run.read_text() + bad + "\n")
+        before = small_run.read_text()
+        if command == "fit":
+            argv = ["fit", "--csv", str(small_run), "--metric", "w1"]
+        else:
+            cfg = {
+                "base_measure": {"type": "atomic", "atoms": [[1.0, 0.5], [-1.0, 0.5]]},
+                "n_values": [4, 8, 16, 32],
+                "grid": {"n_points": 801},
+                "output": str(small_run),
+            }
+            argv = ["berry-esseen", "--config", json.dumps(cfg)]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert "line 6" in capsys.readouterr().err
+        assert small_run.read_text() == before
+
+    def test_fit_on_missing_csv_exits_2(self, tmp_path, capsys):
+        assert run(["fit", "--csv", str(tmp_path / "none.csv"), "--metric", "w1"]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self):
         assert run(["berry-esseen", "--config", "/nonexistent/cfg.json"]) == 2

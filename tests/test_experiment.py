@@ -359,3 +359,55 @@ class TestFloor:
         pts = ex.load_distance_column(cfg.output, "w1")
         assert [n for n, _ in pts] == [4, 8]
         assert all(d > 0 for _, d in pts)
+
+
+class TestReadRows:
+    def test_decodes_cells_and_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "out.csv"
+        lines = ["8,0.5,,0.25,1e-3,4,12.5", "16,,,,,-1,3"]
+        path.write_text("\n".join([ex.CSV_HEADER, lines[0], "", "  ", lines[1]]) + "\n")
+        ok, failed = ex.read_rows(path)
+        assert (ok.n, ok.subord_iters, ok.runtime_ms, ok.line) == (8, 4, 12.5, lines[0])
+        rep = ok.report
+        assert (rep.d_kol, rep.d_tv, rep.d_w1, rep.mass_deficit) == (0.5, None, 0.25, 1e-3)
+        assert failed.failed and failed.subord_iters == -1 and failed.line == lines[1]
+        assert ex.load_distance_column(path, "tv") == [(8, None)]
+
+    def test_empty_distance_cells_read_as_nan(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text(ex.CSV_HEADER + "\n8,,,,,0,1\n")
+        rep = ex.read_rows(path)[0].report
+        assert math.isnan(rep.d_kol) and math.isnan(rep.d_w1) and math.isnan(rep.mass_deficit)
+        assert rep.d_tv is None
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["abc,1,2,3,4,5,6", "8,1,2,3,4,5", "8,1,2,3,4,5,6,7", "8,x,2,3,4,5,6", ",1,2,3,4,5,6"],
+        ids=["bad-n", "six-cells", "eight-cells", "bad-distance", "empty-n"],
+    )
+    def test_corrupt_line_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "out.csv"
+        path.write_text(ex.CSV_HEADER + "\n8,0.5,0.5,0.5,0,0,1\n\n" + bad + "\n")
+        with pytest.raises(ConfigError, match=r"out\.csv, line 4"):
+            ex.read_rows(path)
+
+    def test_resume_refuses_a_corrupt_file_and_leaves_it(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        text = ex.CSV_HEADER + "\n4,1,2,3,4,5\n"
+        path.write_text(text)
+
+        def no_compute(cfg_, n_):
+            raise AssertionError(f"row {n_} computed")
+
+        monkeypatch.setattr(ex, "compute_row", no_compute)
+        with pytest.raises(ConfigError, match="line 2"):
+            ex.run_experiment(tiny_config(tmp_path))
+        assert path.read_text() == text
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe\n"], ids=["missing", "not-utf8"])
+    def test_unreadable_file_is_a_config_error(self, tmp_path, content):
+        path = tmp_path / "out.csv"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError):
+            ex.load_distance_column(path, "w1")

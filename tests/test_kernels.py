@@ -18,6 +18,8 @@ HIGH_Z = (np.linspace(-3, 3, 31) + 2j).astype(complex)
 _NODES = np.linspace(-2.0, 2.0, 33)
 _ARC = np.sqrt(4.0 - _NODES**2)
 SEMI_GRID = MeasureSpec.from_grid(GridDensity(-2.0, 2.0, _ARC / np.trapezoid(_ARC, _NODES)))
+# nonzero end values, so the half end weights of the trapezoid rule count
+FLAT_GRID = MeasureSpec.from_grid(GridDensity(-1.0, 1.0, np.full(17, 0.5)))
 # laws the n-fold solver starts from w = z; the others start at the exact root
 UNSEEDED = ("three-atom", "grid")
 NFOLD_LAWS = {
@@ -31,6 +33,14 @@ NFOLD_LAWS = {
 # the loop oracles warm-start from the previous point; a warm start can
 # land in a slow basin, so they retry cold once from w = z
 _RESTART_AT = 256
+
+
+def _oracle_desc(mu):
+    """Descriptor for the scalar oracles: a grid keeps its raw values, since
+    the oracle applies the trapezoid rule itself."""
+    if mu.kind == "grid":
+        return (2, 0.0, 0.0, mu.grid.x, np.asarray(mu.grid.values))
+    return mu.descriptor()
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +194,12 @@ def _pair_omega_loop(
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("z", [GRID_Z, HIGH_Z], ids=["near-axis", "high"])
-@pytest.mark.parametrize("mu", [BERN, SEMI], ids=["atomic", "semicircle"])
+@pytest.mark.parametrize(
+    "mu", [BERN, SEMI, SEMI_GRID, FLAT_GRID], ids=["atomic", "semicircle", "grid", "flat-grid"]
+)
 def test_cauchy_backends_agree(mu, z):
-    desc = mu.descriptor()
-    active = _kernels.cauchy_vals(z, *desc)
-    reference = np.array([1.0 / _f_df_scalar(*desc, zi)[0] for zi in z])
+    active = _kernels.cauchy_vals(z, *mu.descriptor())
+    reference = np.array([1.0 / _f_df_scalar(*_oracle_desc(mu), zi)[0] for zi in z])
     assert np.abs(active - reference).max() < 1e-13
 
 
@@ -196,11 +207,11 @@ def test_cauchy_backends_agree(mu, z):
 @pytest.mark.parametrize("n", [1, 2, 16, 128, 4096])
 @pytest.mark.parametrize("law", list(NFOLD_LAWS))
 def test_nfold_matches_loop_oracle(law, n, z):
-    mu = NFOLD_LAWS[law]
-    desc = mu.dilate(1.0 / math.sqrt(n)).descriptor()
+    mu = NFOLD_LAWS[law].dilate(1.0 / math.sqrt(n))
+    desc = mu.descriptor()
     args = (float(n), 1e-13, 10_000, 1_000)
     om, iters, res = _kernels.nfold_omega(z, *desc, *args)
-    om_ref, _, res_ref = _nfold_omega_loop(z, *desc, *args)
+    om_ref, _, res_ref = _nfold_omega_loop(z, *_oracle_desc(mu), *args)
     assert res_ref.max() < 1e-10
     assert res.max() <= 1e-12
     # the oracle stops about n * tol short of the root, so compare transforms
@@ -214,18 +225,37 @@ def test_nfold_matches_loop_oracle(law, n, z):
 
 
 def test_pair_matches_loop_oracle():
-    da = BERN.dilate(0.7)
-    db = SEMI.dilate(0.5)
+    # atoms with a semicircle, then a grid with atoms: the shared loop runs
+    # on every F/F' branch through this solver too
     args = (1e-13, 10_000, 1_000)
-    o1, o2, _, _ = _kernels.pair_omega(GRID_Z, *da.descriptor(), *db.descriptor(), *args)
-    o1_ref, o2_ref, _, _ = _pair_omega_loop(GRID_Z, *da.descriptor(), *db.descriptor(), *args)
-    assert np.abs(o1 - o1_ref).max() < 1e-10
-    # omega2 = z + h_a(omega1) amplifies last-ulp omega1 differences by
-    # |F_a'| near spectral edges; the transform values are what must match
-    assert np.abs(o2 - o2_ref).max() < 1e-7
-    g = _kernels.cauchy_vals(o1, *da.descriptor())
-    g_ref = _kernels.cauchy_vals(o1_ref, *da.descriptor())
-    assert np.abs(g - g_ref).max() < 1e-10
+    for da, db in [(BERN.dilate(0.7), SEMI.dilate(0.5)), (SEMI_GRID.dilate(0.7), BERN.dilate(0.5))]:
+        o1, o2, _, _ = _kernels.pair_omega(GRID_Z, *da.descriptor(), *db.descriptor(), *args)
+        o1_ref, o2_ref, _, _ = _pair_omega_loop(
+            GRID_Z, *_oracle_desc(da), *_oracle_desc(db), *args
+        )
+        assert np.abs(o1 - o1_ref).max() < 1e-10, da.kind
+        # omega2 = z + h_a(omega1) amplifies last-ulp omega1 differences by
+        # |F_a'| near spectral edges; the transform values are what must match
+        assert np.abs(o2 - o2_ref).max() < 1e-7, da.kind
+        g = _kernels.cauchy_vals(o1, *da.descriptor())
+        g_ref = _kernels.cauchy_vals(o1_ref, *da.descriptor())
+        assert np.abs(g - g_ref).max() < 1e-10, da.kind
+
+
+def test_residual_is_measured_at_the_returned_point():
+    # cut short after two steps, both solvers report |Phi(w) - w| at the w
+    # they return
+    args = (1e-13, 2, 1_000)
+    mu = NFOLD_LAWS["three-atom"].dilate(0.25)
+    om, _, res = _kernels.nfold_omega(GRID_Z, *mu.descriptor(), 16.0, *args)
+    f = np.array([_f_df_scalar(*_oracle_desc(mu), w)[0] for w in om])
+    np.testing.assert_allclose(res, np.abs((GRID_Z + 15.0 * f) / 16.0 - om), rtol=1e-9, atol=1e-12)
+    assert res.max() > 1e-6
+    da, db = SEMI_GRID.dilate(0.7), BERN.dilate(0.5)
+    o1, o2, _, res = _kernels.pair_omega(GRID_Z, *da.descriptor(), *db.descriptor(), *args)
+    fb = np.array([_f_df_scalar(*_oracle_desc(db), w)[0] for w in o2])
+    np.testing.assert_allclose(res, np.abs(GRID_Z + fb - o2 - o1), rtol=1e-9, atol=1e-12)
+    assert res.max() > 1e-6
 
 
 @settings(max_examples=300, deadline=None)
