@@ -23,6 +23,7 @@ EPS_LADDER = (4e-3, 2e-3, 1e-3)
 _LADDER_W = (1.0 / 3.0, -2.0, 8.0 / 3.0)
 MASS_WARN_BAND = (0.97, 1.03)
 RESIDUAL_ACCEPT = 1e-9
+MIN_GRID_POINTS = 64
 
 
 class GridDensity:
@@ -73,13 +74,15 @@ class GridDensity:
 
     @classmethod
     def from_csv(cls, path) -> "GridDensity":
-        """Read an ``x,density`` CSV whose x column is uniform (at least 2 rows)."""
+        """Read an ``x,density`` CSV (uniform x, at least 2 rows; blank lines skipped)."""
         xs, vs = [], []
         with open(path) as fh:
             header = fh.readline().strip()
             if header != "x,density":
                 raise ValueError(f"unexpected density CSV header: {header!r}")
             for line in fh:
+                if not line.strip():
+                    continue
                 a, b = line.strip().split(",")
                 xs.append(float(a))
                 vs.append(float(b))
@@ -384,8 +387,8 @@ def stieltjes_density(evaluator, lo: float, hi: float, n_points: int = 2001) -> 
     """
     if not hi > lo:
         raise ValueError("need hi > lo")
-    if n_points < 64:
-        raise ValueError("need at least 64 grid points")
+    if n_points < MIN_GRID_POINTS:
+        raise ValueError(f"need at least {MIN_GRID_POINTS} grid points")
     xs = np.linspace(lo, hi, n_points)
     f = np.zeros(n_points)
     for eps, wgt in zip(EPS_LADDER, _LADDER_W):
@@ -411,8 +414,8 @@ def moments_from_evaluator(evaluator, order: int) -> momentalg.MomentSequence:
 
         m_j = (1/pi) Re int_0^pi z(t)^j G(z(t)) R e^{it} dt,  z(t) = R e^{it}.
     """
-    if order > 12:
-        raise ValueError("moment extraction capped at order 12")
+    if order > momentalg.MAX_ORDER:
+        raise ValueError(f"moment extraction capped at order {momentalg.MAX_ORDER}")
     radius = evaluator.support_radius + 1.0
     n_nodes = 256
     t = (np.arange(n_nodes) + 0.5) * math.pi / n_nodes

@@ -18,13 +18,14 @@ from pathlib import Path
 from . import experiment as ex
 from . import ncpart, stein
 from .analytic import (
+    MIN_GRID_POINTS,
     MeasureSpec,
     nfold_convolve,
     semicircle_density,
     stieltjes_density,
 )
 from .errors import ConfigError, ConvergenceError, FitRefusalError
-from .momentalg import moments_to_cumulants, semicircle_moments
+from .momentalg import MAX_ORDER, moments_to_cumulants, semicircle_moments
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -46,6 +47,7 @@ def _load_measure(text_or_path: str) -> MeasureSpec:
 
 
 def _cmd_moments(args) -> int:
+    _require(args, "order", 2, MAX_ORDER)
     mu = _load_measure(args.measure)
     m = mu.moments(args.order)
     kappa = moments_to_cumulants(m) if args.cumulants else None
@@ -61,6 +63,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
+    _require(args, "n", 1)
+    _require(args, "points", MIN_GRID_POINTS)
     mu = _load_measure(args.measure)
     scale = 1.0 / math.sqrt(args.n) if args.scale == "auto" else float(args.scale)
     ev = nfold_convolve(mu, args.n, scale)
@@ -78,6 +82,8 @@ def _cmd_convolve(args) -> int:
 
 
 def _cmd_stein_check(args) -> int:
+    _require(args, "order", 2, MAX_ORDER)
+    _require(args, "theta_step", 0.0, stein.MAX_THETA_STEP, lo_open=True)
     mu = _load_measure(args.measure)
     m = mu.moments(args.order)
     disc = stein.stein_discrepancy(m)
@@ -112,20 +118,27 @@ def _parse_partition(blocks_json: str) -> ncpart.NcPartition:
         raise ConfigError(f"bad partition {blocks_json!r}: {exc}") from exc
 
 
-def _require_n(args, hi: int) -> None:
-    if not 1 <= args.n <= hi:
-        raise ConfigError(f"nc {args.what} supports 1 <= n <= {hi}, got {args.n}")
+def _require(args, name: str, lo, hi=math.inf, lo_open: bool = False) -> None:
+    """Refuse the number argument ``name`` outside [lo, hi], or (lo, hi]."""
+    value = getattr(args, name)
+    if not lo <= value <= hi or (lo_open and value == lo):
+        flag = "-n" if name == "n" else "--" + name.replace("_", "-")
+        upper = f" <= {hi}" if hi < math.inf else ""
+        command = " ".join((args.command, getattr(args, "what", ""))).strip()
+        raise ConfigError(
+            f"{command} needs {lo} {'<' if lo_open else '<='} {flag}{upper}, got {value}"
+        )
 
 
 def _cmd_nc(args) -> int:
     if args.what == "count":
-        _require_n(args, ncpart.MAX_CATALAN)
+        _require(args, "n", 1, ncpart.MAX_CATALAN)
         print(f"n={args.n} |NC(n)|={ncpart.catalan(args.n)} Bell(n)={ncpart.bell(args.n)}")
         if args.n <= ncpart.MAX_GROUND_SET:
             print(f"enumerated={len(ncpart.nc_blocks(args.n))}")
         return 0
     if args.what == "mobius":
-        _require_n(args, ncpart.MAX_GROUND_SET)
+        _require(args, "n", 1, ncpart.MAX_GROUND_SET)
         if args.p or args.q:
             p = _parse_partition(args.p) if args.p else ncpart.NcPartition.zero(args.n)
             q = _parse_partition(args.q) if args.q else ncpart.NcPartition.one(args.n)

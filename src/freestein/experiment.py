@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import metrics as met
 from .analytic import (
+    MIN_GRID_POINTS,
     GridDensity,
     MeasureSpec,
     nfold_convolve,
@@ -56,8 +57,8 @@ class ExperimentConfig:
         if bad or not self.metrics:
             raise ConfigError(f"metrics must be a non-empty subset of {ALL_METRICS}")
         self.metrics = tuple(self.metrics)
-        if self.grid_points < 64:
-            raise ConfigError("grid_points must be >= 64")
+        if self.grid_points < MIN_GRID_POINTS:
+            raise ConfigError(f"grid_points must be >= {MIN_GRID_POINTS}")
         if self.window is not None:
             lo, hi = self.window
             if not hi > lo:

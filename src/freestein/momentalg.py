@@ -1,6 +1,7 @@
 """Moment sequences, free cumulants, and cumulant-level free convolution.
 
-Transforms run over the non-crossing lattice of :mod:`freestein.ncpart`.
+The transforms solve M(z) = 1 + sum_s kappa_s z^s M(z)^s coefficient by
+coefficient; only mixed moments walk the lattice of :mod:`freestein.ncpart`.
 Arithmetic deliberately stays in plain Python numbers, so integer and
 Fraction inputs round-trip exactly; floats round-trip to ~1e-15.
 """
@@ -8,6 +9,7 @@ Fraction inputs round-trip exactly; floats round-trip to ~1e-15.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -117,44 +119,41 @@ def semicircle_moments(order: int) -> MomentSequence:
     return MomentSequence(m[: order + 1], validate=False)
 
 
+def _series(given: tuple, invert: bool) -> tuple:
+    """(m_0..m_N, kappa_1..kappa_N) from kappa_1..kappa_N, or from m_1..m_N.
+
+    The z^n coefficient of M(z) = 1 + sum_s kappa_s z^s M(z)^s reads
+    m_n = sum_{s<=n} kappa_s [z^{n-s}] M(z)^s; the s = n term is kappa_n and
+    the rest need only m_0..m_{n-1}, so it is solved for m_n or (``invert``)
+    for kappa_n.  pw[s][j] = [z^j] M(z)^s grows one anti-diagonal s + j = n
+    at a time (Nica & Speicher, Lectures on the Combinatorics of Free
+    Probability, 2006, Lecture 11).
+    """
+    m, kappa = [1], []
+    pw = [None, []]  # before step n, row s < n ends at j = n - 1 - s
+    for n in range(1, len(given) + 1):
+        # highest s first, so that row s - 1 still ends at j = n - s and
+        # reversed() pairs it with m_0..m_j (map stops at the shorter)
+        for s in range(n - 1, 1, -1):
+            pw[s].append(sum(map(operator.mul, m, reversed(pw[s - 1]))))
+        pw[1].append(m[-1])
+        rest = sum(map(operator.mul, kappa, [row[-1] for row in pw[1:]]))
+        kappa.append(given[n - 1] - rest if invert else given[n - 1])
+        m.append(given[n - 1] if invert else rest + given[n - 1])
+        pw.append([1])
+    return m, kappa
+
+
 def cumulants_to_moments(k: FreeCumulantSequence) -> MomentSequence:
     """m_n = sum over NC(n) of the product of kappa_{|V|} over blocks V."""
     _check_order(k.order)
-    m = [1]
-    for n in range(1, k.order + 1):
-        counts = ncpart.nc_type_counts(n)
-        acc = 0
-        for sizes, cnt in counts.items():
-            term = cnt
-            for s in sizes:
-                term = term * k[s]
-            acc = acc + term
-        m.append(acc)
-    return MomentSequence(m, validate=False)
+    return MomentSequence(_series(k.values, invert=False)[0], validate=False)
 
 
 def moments_to_cumulants(m: MomentSequence) -> FreeCumulantSequence:
-    """Free cumulants by Moebius inversion over NC(n).
-
-    Equivalently (and exactly), the triangular solve of the moment-cumulant
-    relation: kappa_n is m_n minus the contribution of all non-crossing
-    partitions with more than one block.  Inverse of
-    :func:`cumulants_to_moments`.
-    """
+    """Free cumulants (m_0 taken as 1); inverse of :func:`cumulants_to_moments`."""
     _check_order(m.order)
-    kappa = []
-    for n in range(1, m.order + 1):
-        counts = ncpart.nc_type_counts(n)
-        acc = m[n]
-        for sizes, cnt in counts.items():
-            if sizes == (n,):
-                continue
-            term = cnt
-            for s in sizes:
-                term = term * kappa[s - 1]
-            acc = acc - term
-        kappa.append(acc)
-    return FreeCumulantSequence(kappa)
+    return FreeCumulantSequence(_series(m.values[1:], invert=True)[1])
 
 
 def free_convolve_cumulants(a: MomentSequence, b: MomentSequence) -> MomentSequence:

@@ -8,6 +8,9 @@ capped at n = 12 so that exhaustive tests stay cheap.
 The lattice is walked as :func:`nc_blocks`, tuples of shared canonical
 block tuples; :class:`NcPartition` objects are built only at the public
 API, and internal walks such as :func:`nc_kreweras_size_pairs` skip them.
+That table feeds the mixed moments of :mod:`freestein.momentalg`; its
+moment-cumulant transforms solve a power-series equation and need no
+lattice walk.
 
 The lattice maps use closed forms.  The Kreweras complement is the cycle
 decomposition of the permutation P_pi^{-1} gamma with gamma = (1 2 ... n)
@@ -321,37 +324,6 @@ def _sign_catalan_product(sizes) -> int:
     for s in sizes:
         out *= (-1) ** (s - 1) * catalan(s - 1)
     return out
-
-
-@lru_cache(maxsize=None)
-def nc_type_counts(n: int) -> dict:
-    """Number of non-crossing partitions of [n] per block-size multiset.
-
-    Kreweras' count: a type with k blocks and size multiplicities m_j has
-    n! / ((n - k + 1)! * prod_j m_j!) non-crossing partitions.  Keys are
-    size tuples sorted largest-first.
-    """
-    _check_bound(n)
-    out = {}
-    for sizes in _integer_partitions(n):
-        k = len(sizes)
-        denom = math.factorial(n - k + 1)
-        for j in set(sizes):
-            denom *= math.factorial(sizes.count(j))
-        cnt, rem = divmod(math.factorial(n), denom)
-        assert rem == 0
-        out[sizes] = cnt
-    return out
-
-
-def _integer_partitions(n: int, mx: int | None = None):
-    if n == 0:
-        yield ()
-        return
-    mx = n if mx is None else mx
-    for first in range(min(n, mx), 0, -1):
-        for rest in _integer_partitions(n - first, first):
-            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)

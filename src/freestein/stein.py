@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .momentalg import (
 _DIAG_CUTOFF = 1e-8
 _DIAG_STEP = 1e-5
 TAIL_TOL = 1e-10
+MAX_THETA_STEP = 1e-3
 
 #: Fixed measures used by consistency checks and the acceptance suite:
 #: standard semicircle, symmetric Bernoulli, a skewed two-atom law
@@ -127,21 +129,18 @@ def generator_finite_difference(mu: MeasureSpec, p: int, theta_step: float) -> f
     error is the O(theta_step) finite-difference bias against
     :func:`generator_apply`.
     """
-    if not 0 < theta_step <= 1e-3:
-        raise ValueError("theta_step must lie in (0, 1e-3]")
+    if not 0 < theta_step <= MAX_THETA_STEP:
+        raise ValueError(f"theta_step must lie in (0, {MAX_THETA_STEP:g}]")
     m0 = mu.moments(max(p, 2))
     m1 = evolved_moments(m0, theta_step)
     return (float(m1[p]) - float(m0[p])) / theta_step
 
 
-def _pairing_from_moments(m: MomentSequence, coeffs):
-    """<nu (x) nu, L[Dh]> for h with the given coefficients."""
-    acc = 0.0
-    for p, c in enumerate(coeffs):
-        if p == 0 or c == 0:
-            continue
-        acc += c * p * (-m[p] + sum(m[l] * m[p - 2 - l] for l in range(p - 1)))
-    return acc
+@lru_cache(maxsize=None)
+def _gauss_legendre(n_nodes: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], as tuples of floats."""
+    nodes, wts = np.polynomial.legendre.leggauss(n_nodes)
+    return tuple(nodes.tolist()), tuple(wts.tolist())
 
 
 def dual_stein_pairing(mu: MeasureSpec, h, theta_max: float = 40.0) -> float:
@@ -165,8 +164,9 @@ def dual_stein_pairing(mu: MeasureSpec, h, theta_max: float = 40.0) -> float:
     kappa = moments_to_cumulants(mu.moments(order))
 
     def integrand(theta: float) -> float:
+        # generator_apply(m, p) is <nu (x) nu, L[D x^p]>, and the pairing is linear in h
         m_theta = cumulants_to_moments(evolve_cumulants(kappa, theta))
-        return _pairing_from_moments(m_theta, coeffs)
+        return sum(c * generator_apply(m_theta, p) for p, c in enumerate(coeffs) if p and c)
 
     tail = abs(integrand(theta_max))
     if tail > TAIL_TOL:
@@ -177,9 +177,8 @@ def dual_stein_pairing(mu: MeasureSpec, h, theta_max: float = 40.0) -> float:
         )
 
     u0 = math.exp(-theta_max)
-    nodes, wts = np.polynomial.legendre.leggauss(deg // 2 + 2)
-    u = 0.5 * (nodes + 1.0) * (1.0 - u0) + u0
     total = 0.0
-    for ui, wi in zip(u, wts):
+    for xi, wi in zip(*_gauss_legendre(deg // 2 + 2)):
+        ui = 0.5 * (xi + 1.0) * (1.0 - u0) + u0
         total += wi * integrand(-math.log(ui)) / ui
     return total * 0.5 * (1.0 - u0)

@@ -218,11 +218,23 @@ class TestGridDensity:
             an.GridDensity.from_csv(path)
 
 
+    def test_csv_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "density.csv"
+        path.write_text("x,density\n-1,0.5\n\n0,0.5\n1,0.5\n\n")
+        g = an.GridDensity.from_csv(path)
+        assert (g.lo, g.hi) == (-1.0, 1.0)
+        assert g.values.tolist() == [0.5, 0.5, 0.5]
+
+
 class TestMomentsFromEvaluator:
     def test_semicircle_moments(self):
         m = an.moments_from_evaluator(an.MeasureEvaluator(SEMI), 4)
         expect = (1, 0, 1, 0, 2)
         assert max(abs(float(a) - b) for a, b in zip(m.values, expect)) < 1e-6
+
+    def test_order_cap_is_the_transform_cap(self):
+        with pytest.raises(ValueError, match=f"capped at order {ma.MAX_ORDER}"):
+            an.moments_from_evaluator(an.MeasureEvaluator(SEMI), ma.MAX_ORDER + 1)
 
     def test_mass_is_one(self):
         for mu in (BERN, ASYM, SEMI):

@@ -40,6 +40,20 @@ class TestMoments:
         assert run(["moments", "--measure", measure]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_grid_file_ending_in_a_blank_line(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("x,density\n-1,0.5\n0,0.5\n1,0.5\n\n")
+        measure = json.dumps({"type": "grid", "path": str(path)})
+        assert run(["moments", "--measure", measure, "--order", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "2\t0.5"
+
+    @pytest.mark.parametrize("order", ["1", "13"])
+    def test_order_out_of_range_exits_2(self, order, capsys):
+        assert run(["moments", "--measure", BERN_JSON, "--order", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+
 
 class TestConvolve:
     def test_density_csv(self, tmp_path, capsys):
@@ -64,6 +78,18 @@ class TestConvolve:
         ) == 0
 
 
+    @pytest.mark.parametrize(
+        "args", [["-n", "0"], ["-n", "-2"], ["-n", "4", "--points", "10"]]
+    )
+    def test_bad_numbers_exit_2_before_output(self, tmp_path, args, capsys):
+        out = tmp_path / "d.csv"
+        assert run(["convolve", "--measure", BERN_JSON, "--out", str(out), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert not out.exists()
+
+
 class TestSteinCheck:
     def test_reports_all_sections(self, capsys):
         assert run(["stein-check", "--measure", BERN_JSON, "--order", "4"]) == 0
@@ -71,6 +97,16 @@ class TestSteinCheck:
         assert "Stein discrepancy" in out
         assert "generator" in out
         assert "dual Stein" in out
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--order", "13"], ["--order", "1"], ["--theta-step", "0.1"], ["--theta-step", "0"]],
+    )
+    def test_bad_numbers_exit_2_before_output(self, args, capsys):
+        assert run(["stein-check", "--measure", BERN_JSON, *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
 
 
 class TestNc:

@@ -1,6 +1,7 @@
 """Moment/cumulant transforms against explicit non-crossing-sum oracles."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ from freestein import momentalg as ma
 from freestein import ncpart, ncsymb
 from freestein.analytic import MeasureSpec
 from freestein.momentalg import FreeCumulantSequence, MomentSequence
+from test_ncpart import nc_type_counts
 
 
 def atomic_moments(atoms, order):
@@ -40,6 +42,17 @@ def brute_moment(kappa: FreeCumulantSequence, n: int):
         for block in pi.blocks:
             prod *= kappa[len(block)]
         total += prod
+    return total
+
+
+def type_count_moment(kappa: FreeCumulantSequence, n: int):
+    """Oracle: m_n = sum over block types of NC(n) of count * prod kappa_s."""
+    total = 0
+    for sizes, cnt in nc_type_counts(n).items():
+        term = cnt
+        for s in sizes:
+            term = term * kappa[s]
+        total = total + term
     return total
 
 
@@ -113,6 +126,22 @@ class TestTransforms:
         kappa = FreeCumulantSequence((0.3, 1.1, -0.4, 0.2, 0.05, -0.6, 0.7))
         m = ma.cumulants_to_moments(kappa)
         assert abs(m[n] - brute_moment(kappa, n)) < 1e-12
+
+    @pytest.mark.parametrize("order", range(2, ma.MAX_ORDER + 1))
+    def test_exact_against_type_count_oracle(self, order):
+        rng = random.Random(order)
+        for _ in range(5):
+            for kappa in (
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order)],
+                [rng.randint(-5, 5) for _ in range(order)],
+            ):
+                k = FreeCumulantSequence(kappa)
+                want = tuple(type_count_moment(k, n) for n in range(order + 1))
+                m = ma.cumulants_to_moments(k)
+                assert m.values == want
+                assert ma.moments_to_cumulants(m).values == k.values
+                if all(type(v) is int for v in kappa):
+                    assert all(type(v) is int for v in m.values)
 
     def test_rational_round_trip_is_exact(self):
         atoms = [(Fraction(3, 2), Fraction(1, 3)), (Fraction(-3, 4), Fraction(2, 3))]
