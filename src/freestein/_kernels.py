@@ -14,8 +14,8 @@ so kind 2 differs from kind 0 only as a label (grids are never seeded).
 Both solvers run one loop, :func:`_solve`: a short Picard warmup and then
 safeguarded Newton steps on w = Phi(w); plain Picard stalls near spectral
 edges, where Phi'(w) approaches 1.  A Newton candidate leaving the upper
-half plane falls back to the Picard step (damped 0.5 after
-``DEFAULT_DAMP_AFTER`` iterations).
+half plane falls back to the Picard step.  From iteration ``_DAMP_AFTER``
+on, every Picard step is damped by 0.5.
 
 The n-fold solver starts from the exact fixed point where it has a closed
 form (semicircle, one or two atoms, see :func:`_nfold_seed`) and from
@@ -32,8 +32,8 @@ import numpy as np
 BACKEND = "numpy"
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_ITER = 10_000
-DEFAULT_DAMP_AFTER = 1_000
 _PICARD_WARMUP = 8
+_DAMP_AFTER = 1_000
 
 
 def cauchy_vals(z, kind, c0, c1, xs, ys):
@@ -86,7 +86,7 @@ def _nfold_seed(z, kind, c0, c1, xs, ys, nfold):
     return np.where(np.isfinite(w) & (w.imag > 0.0), w, z)
 
 
-def _solve(z, w0, phi, tol, max_iter, damp_after):
+def _solve(z, w0, phi, tol, max_iter):
     """Iterate w = Phi(w) per point from w0; returns (w, iters, resid).
 
     ``phi(z, w)`` returns Phi(w) and Phi'(w) for the given points.  The
@@ -102,7 +102,7 @@ def _solve(z, w0, phi, tol, max_iter, damp_after):
         mapped, dmapped = phi(z[active], wa)
         settled = np.abs(mapped - wa) < tol * (1.0 + np.abs(wa))
         picard = mapped
-        if it >= damp_after:
+        if it >= _DAMP_AFTER:
             picard = 0.5 * (picard + wa)
         w_new = picard
         if it >= _PICARD_WARMUP:
@@ -119,7 +119,7 @@ def _solve(z, w0, phi, tol, max_iter, damp_after):
     return w, iters, np.abs(phi(z, w)[0] - w)
 
 
-def nfold_omega(z, kind, c0, c1, xs, ys, nfold, tol, max_iter, damp_after):
+def nfold_omega(z, kind, c0, c1, xs, ys, nfold, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Solve n*w - (n-1) F(w) = z per point; returns (omega, iters, resid)."""
 
     def phi(zs, w):
@@ -127,11 +127,11 @@ def nfold_omega(z, kind, c0, c1, xs, ys, nfold, tol, max_iter, damp_after):
         return (zs + (nfold - 1.0) * f) / nfold, (nfold - 1.0) / nfold * df
 
     w0 = _nfold_seed(z, kind, c0, c1, xs, ys, nfold)
-    return _solve(z, w0, phi, tol, max_iter, damp_after)
+    return _solve(z, w0, phi, tol, max_iter)
 
 
 def pair_omega(
-    z, ka, a0, a1, axs, ays, kb, b0, b1, bxs, bys, tol, max_iter, damp_after
+    z, ka, a0, a1, axs, ays, kb, b0, b1, bxs, bys, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER
 ):
     """Solve w = z + h_b(z + h_a(w)), h = F - id, per point.
 
@@ -145,6 +145,6 @@ def pair_omega(
         fb, dfb = _f_df_vec(kb, b0, b1, bxs, bys, inner)
         return zs + fb - inner, (dfb - 1.0) * (dfa - 1.0)
 
-    w, iters, resid = _solve(z, z, phi, tol, max_iter, damp_after)
+    w, iters, resid = _solve(z, z, phi, tol, max_iter)
     inner = z + _f_df_vec(ka, a0, a1, axs, ays, w)[0] - w
     return w, inner, iters, resid

@@ -1,17 +1,20 @@
 """Analytic engine: Cauchy transforms, subordination, density recovery.
 
 A :class:`MeasureSpec` names a compactly supported law (atoms, semicircle,
-or a grid density).  Free convolutions are realised through subordination
-fixed points on the upper half plane; densities come back through Stieltjes
-inversion with an epsilon ladder.  The moment extractor closes the loop
-with the cumulant engine of :mod:`freestein.momentalg`.
+or a grid density).  Every transform goes through one handle,
+:class:`MeasureEvaluator`, which computes G(z) = G_base(omega(z)): omega is
+the identity for a plain law, and the n-fold and pair subordination
+handles supply it from a kernel fixed point, under one residual gate.
+Densities come back through Stieltjes inversion with an epsilon ladder.
+The moment extractor closes the loop with the cumulant engine of
+:mod:`freestein.momentalg`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,18 +203,6 @@ class MeasureSpec:
         return momentalg.MomentSequence(vals, validate=False)
 
 
-@dataclass
-class SubordinationResult:
-    """Converged subordination maps sampled at the query points."""
-
-    z: np.ndarray
-    omega1: np.ndarray
-    omega2: np.ndarray
-    iterations: int
-    residual: float
-    values: np.ndarray = field(repr=False, default=None)
-
-
 def _as_upper_half(z):
     arr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(arr.imag <= 0):
@@ -219,27 +210,51 @@ def _as_upper_half(z):
     return arr
 
 
-def cauchy_transform(mu: MeasureSpec, z):
-    """G_mu(z) = integral of 1/(z - x) dmu(x), Im z > 0 (so Im G < 0)."""
-    arr = _as_upper_half(z)
-    out = _kernels.cauchy_vals(arr, *mu.descriptor())
-    return out[0] if np.isscalar(z) or np.ndim(z) == 0 else out
-
-
 class MeasureEvaluator:
-    """Cauchy-transform handle for a plain MeasureSpec."""
+    """Cauchy-transform handle G(z) = G_base(omega(z)).
 
-    def __init__(self, spec: MeasureSpec):
-        self.spec = spec
-        self.support_radius = spec.support_radius
-        self.last_iterations = 0
+    For a plain law omega is the identity.  The subordination handles
+    below set ``base`` and ``support_radius`` and supply ``_omega`` from a
+    kernel solver; all of them share :meth:`cauchy`, the upper-half-plane
+    check and the residual gate.
+    """
+
+    def __init__(self, base: MeasureSpec):
+        self.base = base
+        self.support_radius = base.support_radius
         self.peak_iterations = 0
 
+    def omega(self, z):
+        """omega(z) as a 1-d array, Im z > 0."""
+        return self._omega(_as_upper_half(z))
+
+    def _omega(self, z):
+        return z
+
     def cauchy(self, z):
-        return cauchy_transform(self.spec, z)
+        arr = _as_upper_half(z)
+        out = _kernels.cauchy_vals(self._omega(arr), *self.base.descriptor())
+        return out[0] if np.isscalar(z) or np.ndim(z) == 0 else out
+
+    def _accept(self, what: str, iters, resid) -> None:
+        """Record the solve's iterations; refuse a residual above RESIDUAL_ACCEPT."""
+        iterations = int(iters.max())
+        self.peak_iterations = max(self.peak_iterations, iterations)
+        worst = float(resid.max())
+        if worst > RESIDUAL_ACCEPT:
+            raise ConvergenceError(
+                f"{what} did not converge (residual {worst:.3e})",
+                residual=worst,
+                iterations=iterations,
+            )
 
 
-class NFoldEvaluator:
+def cauchy_transform(mu: MeasureSpec, z):
+    """G_mu(z) = integral of 1/(z - x) dmu(x), Im z > 0 (so Im G < 0)."""
+    return MeasureEvaluator(mu).cauchy(z)
+
+
+class NFoldEvaluator(MeasureEvaluator):
     """Handle for G of (D_scale mu)^{boxplus n}.
 
     For identical summands the n-fold subordination map collapses to the
@@ -250,110 +265,37 @@ class NFoldEvaluator:
     residual is checked against ``RESIDUAL_ACCEPT`` either way.
     """
 
-    def __init__(
-        self,
-        base: MeasureSpec,
-        n: int,
-        scale: float = 1.0,
-        tol: float = _kernels.DEFAULT_TOL,
-        max_iter: int = _kernels.DEFAULT_MAX_ITER,
-    ):
+    def __init__(self, base: MeasureSpec, n: int, scale: float = 1.0):
         if n < 1:
             raise ValueError("n must be a positive integer")
-        self.base = base.dilate(scale) if scale != 1.0 else base
+        super().__init__(base.dilate(scale) if scale != 1.0 else base)
         self.n = int(n)
         self.support_radius = self.n * self.base.support_radius
-        self.tol = tol
-        self.max_iter = max_iter
-        self.last_iterations = 0
-        self.peak_iterations = 0
 
-    def omega(self, z):
-        arr = _as_upper_half(z)
-        om, iters, resid = _kernels.nfold_omega(
-            arr,
-            *self.base.descriptor(),
-            float(self.n),
-            self.tol,
-            self.max_iter,
-            _kernels.DEFAULT_DAMP_AFTER,
-        )
-        self.last_iterations = int(iters.max())
-        self.peak_iterations = max(self.peak_iterations, self.last_iterations)
-        worst = float(resid.max())
-        if worst > RESIDUAL_ACCEPT:
-            raise ConvergenceError(
-                f"n-fold subordination did not converge (residual {worst:.3e})",
-                residual=worst,
-                iterations=self.last_iterations,
-            )
+    def _omega(self, z):
+        om, iters, resid = _kernels.nfold_omega(z, *self.base.descriptor(), float(self.n))
+        self._accept("n-fold subordination", iters, resid)
         return om
 
-    def cauchy(self, z):
-        arr = _as_upper_half(z)
-        out = _kernels.cauchy_vals(self.omega(arr), *self.base.descriptor())
-        return out[0] if np.isscalar(z) or np.ndim(z) == 0 else out
 
-
-class PairConvolveEvaluator:
+class PairConvolveEvaluator(MeasureEvaluator):
     """Handle for G of a boxplus b via two-measure subordination.
 
     omega1 is the attracting fixed point of w -> z + h_b(z + h_a(w)) with
     h = 1/G - id; then G_{a boxplus b} = G_a(omega1).
     """
 
-    def __init__(
-        self,
-        a: MeasureSpec,
-        b: MeasureSpec,
-        tol: float = _kernels.DEFAULT_TOL,
-        max_iter: int = _kernels.DEFAULT_MAX_ITER,
-    ):
-        self.a = a
+    def __init__(self, a: MeasureSpec, b: MeasureSpec):
+        super().__init__(a)
         self.b = b
         self.support_radius = a.support_radius + b.support_radius
-        self.tol = tol
-        self.max_iter = max_iter
-        self.last_iterations = 0
-        self.peak_iterations = 0
 
-    def subordination(self, z) -> SubordinationResult:
-        arr = _as_upper_half(z)
-        om1, om2, iters, resid = _kernels.pair_omega(
-            arr,
-            *self.a.descriptor(),
-            *self.b.descriptor(),
-            self.tol,
-            self.max_iter,
-            _kernels.DEFAULT_DAMP_AFTER,
+    def _omega(self, z):
+        om1, _, iters, resid = _kernels.pair_omega(
+            z, *self.base.descriptor(), *self.b.descriptor()
         )
-        self.last_iterations = int(iters.max())
-        self.peak_iterations = max(self.peak_iterations, self.last_iterations)
-        worst = float(resid.max())
-        if worst > RESIDUAL_ACCEPT:
-            raise ConvergenceError(
-                f"subordination did not converge (residual {worst:.3e})",
-                residual=worst,
-                iterations=self.last_iterations,
-            )
-        vals = _kernels.cauchy_vals(om1, *self.a.descriptor())
-        return SubordinationResult(
-            z=arr,
-            omega1=om1,
-            omega2=om2,
-            iterations=self.last_iterations,
-            residual=worst,
-            values=vals,
-        )
-
-    def cauchy(self, z):
-        res = self.subordination(z)
-        return res.values[0] if np.isscalar(z) or np.ndim(z) == 0 else res.values
-
-
-def subordination_convolve(a: MeasureSpec, b: MeasureSpec, z):
-    """G_{a boxplus b}(z) by the pairwise subordination fixed point."""
-    return PairConvolveEvaluator(a, b).cauchy(z)
+        self._accept("subordination", iters, resid)
+        return om1
 
 
 def nfold_convolve(mu: MeasureSpec, n: int, scale: float = 1.0) -> NFoldEvaluator:

@@ -21,7 +21,6 @@ from .analytic import (
     MIN_GRID_POINTS,
     MeasureSpec,
     nfold_convolve,
-    semicircle_density,
     stieltjes_density,
 )
 from .errors import ConfigError, ConvergenceError, FitRefusalError
@@ -65,12 +64,21 @@ def _cmd_moments(args) -> int:
 def _cmd_convolve(args) -> int:
     _require(args, "n", 1)
     _require(args, "points", MIN_GRID_POINTS)
-    mu = _load_measure(args.measure)
-    scale = 1.0 / math.sqrt(args.n) if args.scale == "auto" else float(args.scale)
-    ev = nfold_convolve(mu, args.n, scale)
+    try:
+        scale = 1.0 / math.sqrt(args.n) if args.scale == "auto" else float(args.scale)
+    except ValueError:
+        scale = math.nan
+    if not math.isfinite(scale) or scale == 0:
+        raise ConfigError(
+            f"convolve needs --scale auto or a finite non-zero number, got {args.scale}"
+        )
     if args.window:
         lo, hi = args.window
-    else:
+        if not -math.inf < lo < hi < math.inf:
+            raise ConfigError(f"convolve needs a finite --window LO HI, LO < HI, got {lo} {hi}")
+    mu = _load_measure(args.measure)
+    ev = nfold_convolve(mu, args.n, scale)
+    if not args.window:
         lo, hi = -(ev.support_radius + 0.5), ev.support_radius + 0.5
     density = stieltjes_density(ev, lo, hi, args.points)
     density.to_csv(args.out)

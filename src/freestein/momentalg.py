@@ -65,11 +65,6 @@ class MomentSequence:
     def __repr__(self) -> str:
         return f"MomentSequence({self.values})"
 
-    def close_to(self, other: "MomentSequence", tol: float = 1e-12) -> bool:
-        if self.order != other.order:
-            return False
-        return max(abs(a - b) for a, b in zip(self.values, other.values)) <= tol
-
 
 class FreeCumulantSequence:
     """Truncated free cumulants (kappa_1, ..., kappa_N)."""

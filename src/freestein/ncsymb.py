@@ -139,9 +139,6 @@ class NcPolynomial:
         """z-polynomial coefficient of a canonical word."""
         return self.terms.get(tuple(word), ())
 
-    def evaluate(self, a_val: np.ndarray, r_val: np.ndarray, z_val: complex) -> np.ndarray:
-        return eval_matrix(self, a_val, r_val, z_val)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "NcPolynomial(0)"

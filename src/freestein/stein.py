@@ -28,7 +28,6 @@ from .momentalg import (
     MomentSequence,
     cumulants_to_moments,
     moments_to_cumulants,
-    semicircle_moments,
 )
 
 _DIAG_CUTOFF = 1e-8

@@ -6,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from freestein import _kernels
 from freestein import analytic as an
 from freestein import momentalg as ma
 from freestein import stein
-from freestein.errors import MassRecoveryWarning
+from freestein.errors import ConvergenceError, MassRecoveryWarning
 from freestein.momentalg import FreeCumulantSequence
 
 BERN = an.MeasureSpec.atomic([(-1.0, 0.5), (1.0, 0.5)])
@@ -98,34 +99,71 @@ class TestCauchyTransform:
 class TestSubordination:
     def test_point_mass_translates(self):
         z = 0.7 + 0.9j
-        lhs = an.subordination_convolve(an.MeasureSpec.point_mass(0.6), BERN, z)
+        lhs = an.PairConvolveEvaluator(an.MeasureSpec.point_mass(0.6), BERN).cauchy(z)
         assert lhs == pytest.approx(an.cauchy_transform(BERN, z - 0.6), abs=1e-13)
 
     def test_semicircle_variances_add(self):
-        lhs = an.subordination_convolve(SEMI, SEMI, 3j)
+        lhs = an.PairConvolveEvaluator(SEMI, SEMI).cauchy(3j)
         rhs = an.cauchy_transform(an.MeasureSpec.semicircle(0, 2), 3j)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_bernoulli_pair_is_arcsine(self):
         for z in (1j, 0.5 + 0.25j, -1.5 + 0.1j):
-            lhs = an.subordination_convolve(BERN, BERN, z)
+            lhs = an.PairConvolveEvaluator(BERN, BERN).cauchy(z)
             assert lhs == pytest.approx(arcsine_g(z), abs=1e-10)
 
     def test_upper_half_plane_contract(self):
         zs = np.linspace(-3, 3, 41) + 1j * 1e-3
-        res = an.PairConvolveEvaluator(BERN, ASYM).subordination(zs)
-        assert np.all(res.omega1.imag >= zs.imag - 1e-12)
-        assert np.all(res.omega2.imag >= zs.imag - 1e-12)
-        assert res.residual < 1e-9
+        om1, om2, _, resid = _kernels.pair_omega(zs, *BERN.descriptor(), *ASYM.descriptor())
+        assert np.all(om1.imag >= zs.imag - 1e-12)
+        assert np.all(om2.imag >= zs.imag - 1e-12)
+        assert resid.max() < 1e-9
 
     def test_omega_consistency(self):
         # F_a(omega1) = F_b(omega2) = F_{a boxplus b}(z)
         zs = np.array([0.4 + 0.2j, -2.0 + 0.5j, 1.1 + 1.0j])
-        ev = an.PairConvolveEvaluator(BERN, SEMI)
-        res = ev.subordination(zs)
-        fa = 1.0 / an.cauchy_transform(BERN, res.omega1)
-        fb = 1.0 / an.cauchy_transform(SEMI, res.omega2)
+        om1, om2, _, _ = _kernels.pair_omega(zs, *BERN.descriptor(), *SEMI.descriptor())
+        fa = 1.0 / an.cauchy_transform(BERN, om1)
+        fb = 1.0 / an.cauchy_transform(SEMI, om2)
         assert np.abs(fa - fb).max() < 1e-9
+
+
+class TestResidualGate:
+    """Both subordination handles share one residual gate."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        # each kernel call reports the next (iterations, residual) pair
+        queue = []
+
+        def report(z):
+            iters, resid = queue.pop(0)
+            return np.full(len(z), iters), np.full(len(z), resid)
+
+        monkeypatch.setattr(_kernels, "nfold_omega", lambda z, *a: (z, *report(z)))
+        monkeypatch.setattr(_kernels, "pair_omega", lambda z, *a: (z, z, *report(z)))
+        return queue
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: an.nfold_convolve(BERN, 4, 0.5), lambda: an.PairConvolveEvaluator(BERN, SEMI)],
+        ids=["nfold", "pair"],
+    )
+    def test_rejects_and_keeps_peak(self, solves, make):
+        ev = make()
+        bad = 2 * an.RESIDUAL_ACCEPT
+        solves.extend([(7, bad), (3, 0.0), (9, an.RESIDUAL_ACCEPT), (5, 0.0)])
+        with pytest.raises(ConvergenceError) as err:
+            ev.cauchy(1j)
+        assert err.value.residual == bad
+        assert err.value.iterations == 7
+        assert ev.peak_iterations == 7
+        ev.cauchy(1j)
+        assert ev.peak_iterations == 7
+        ev.cauchy(np.array([1j, 2j]))  # a residual at the bound is accepted
+        assert ev.peak_iterations == 9
+        ev.cauchy(1j)
+        assert ev.peak_iterations == 9
 
 
 class TestNFold:

@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from freestein import cli
 from freestein.analytic import GridDensity
 
 BERN_JSON = '{"type":"atomic","atoms":[[1.0,0.5],[-1.0,0.5]]}'
+ASYM_JSON = '{"type":"atomic","atoms":[[2.0,0.2],[-0.5,0.8]]}'
 
 
 def run(argv):
@@ -88,6 +90,41 @@ class TestConvolve:
         assert captured.out == ""
         assert "config error" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--scale", "0"],
+            ["--scale", "inf"],
+            ["--scale=-inf"],
+            ["--scale", "nan"],
+            ["--scale", "abc"],
+            ["--window", "1", "-1"],
+            ["--window", "1", "1"],
+            ["--window", "0", "inf"],
+            ["--window", "nan", "1"],
+        ],
+        ids=[
+            "scale-0", "scale-inf", "scale-neg-inf", "scale-nan", "scale-abc",
+            "window-reversed", "window-empty", "window-inf", "window-nan",
+        ],
+    )
+    def test_bad_scale_or_window_exits_2_before_output(self, tmp_path, args, capsys):
+        out = tmp_path / "d.csv"
+        assert run(["convolve", "--measure", BERN_JSON, "-n", "4", "--out", str(out), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert args[0].split("=")[0] in captured.err
+        assert not out.exists()
+
+    def test_negative_scale_reflects(self, tmp_path):
+        out = tmp_path / "d.csv"
+        args = ["convolve", "--measure", ASYM_JSON, "-n", "8", "--out", str(out), "--points", "257"]
+        assert run([*args, "--scale", "-0.35", "--window", "-3", "3"]) == 0
+        flipped = GridDensity.from_csv(out).values
+        assert run([*args, "--scale", "0.35", "--window", "-3", "3"]) == 0
+        assert np.abs(GridDensity.from_csv(out).values - flipped[::-1]).max() < 1e-12
 
 
 class TestSteinCheck:

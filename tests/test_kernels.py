@@ -209,9 +209,9 @@ def test_cauchy_backends_agree(mu, z):
 def test_nfold_matches_loop_oracle(law, n, z):
     mu = NFOLD_LAWS[law].dilate(1.0 / math.sqrt(n))
     desc = mu.descriptor()
-    args = (float(n), 1e-13, 10_000, 1_000)
+    args = (float(n), 1e-13, 10_000)
     om, iters, res = _kernels.nfold_omega(z, *desc, *args)
-    om_ref, _, res_ref = _nfold_omega_loop(z, *_oracle_desc(mu), *args)
+    om_ref, _, res_ref = _nfold_omega_loop(z, *_oracle_desc(mu), *args, 1_000)
     assert res_ref.max() < 1e-10
     assert res.max() <= 1e-12
     # the oracle stops about n * tol short of the root, so compare transforms
@@ -227,11 +227,11 @@ def test_nfold_matches_loop_oracle(law, n, z):
 def test_pair_matches_loop_oracle():
     # atoms with a semicircle, then a grid with atoms: the shared loop runs
     # on every F/F' branch through this solver too
-    args = (1e-13, 10_000, 1_000)
+    args = (1e-13, 10_000)
     for da, db in [(BERN.dilate(0.7), SEMI.dilate(0.5)), (SEMI_GRID.dilate(0.7), BERN.dilate(0.5))]:
         o1, o2, _, _ = _kernels.pair_omega(GRID_Z, *da.descriptor(), *db.descriptor(), *args)
         o1_ref, o2_ref, _, _ = _pair_omega_loop(
-            GRID_Z, *_oracle_desc(da), *_oracle_desc(db), *args
+            GRID_Z, *_oracle_desc(da), *_oracle_desc(db), *args, 1_000
         )
         assert np.abs(o1 - o1_ref).max() < 1e-10, da.kind
         # omega2 = z + h_a(omega1) amplifies last-ulp omega1 differences by
@@ -245,7 +245,7 @@ def test_pair_matches_loop_oracle():
 def test_residual_is_measured_at_the_returned_point():
     # cut short after two steps, both solvers report |Phi(w) - w| at the w
     # they return
-    args = (1e-13, 2, 1_000)
+    args = (1e-13, 2)
     mu = NFOLD_LAWS["three-atom"].dilate(0.25)
     om, _, res = _kernels.nfold_omega(GRID_Z, *mu.descriptor(), 16.0, *args)
     f = np.array([_f_df_scalar(*_oracle_desc(mu), w)[0] for w in om])
