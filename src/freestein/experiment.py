@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 import warnings
@@ -49,21 +50,32 @@ class ExperimentConfig:
     normalize: bool = False
 
     def __post_init__(self):
-        ns = tuple(int(n) for n in self.n_values)
+        ns = self.n_values
+        if not isinstance(ns, (list, tuple)) or not all(map(_whole, ns)):
+            raise ConfigError(f"n_values must be a list of integers, got {ns!r}")
+        ns = tuple(map(int, ns))
         if len(ns) < 2 or list(ns) != sorted(set(ns)) or ns[0] < 1:
             raise ConfigError("n_values must be >= 2 distinct ascending positive integers")
         self.n_values = ns
-        bad = [m for m in self.metrics if m not in ALL_METRICS]
-        if bad or not self.metrics:
+        ms = self.metrics
+        if not isinstance(ms, (list, tuple)) or not ms or any(m not in ALL_METRICS for m in ms):
             raise ConfigError(f"metrics must be a non-empty subset of {ALL_METRICS}")
-        self.metrics = tuple(self.metrics)
-        if self.grid_points < MIN_GRID_POINTS:
-            raise ConfigError(f"grid_points must be >= {MIN_GRID_POINTS}")
+        self.metrics = tuple(ms)
+        if not isinstance(self.output, (str, os.PathLike)):
+            raise ConfigError(f"output must be a file path, got {self.output!r}")
+        if not _whole(self.grid_points) or self.grid_points < MIN_GRID_POINTS:
+            raise ConfigError(
+                f"grid points must be an integer >= {MIN_GRID_POINTS}, got {self.grid_points!r}"
+            )
+        self.grid_points = int(self.grid_points)
         if self.window is not None:
-            lo, hi = self.window
-            if not hi > lo:
-                raise ConfigError("window must satisfy lo < hi")
-            self.window = (float(lo), float(hi))
+            w = self.window
+            two = isinstance(w, (list, tuple)) and len(w) == 2 and all(map(_number, w))
+            if not (two and w[0] < w[1]):
+                raise ConfigError(f"window must be two finite numbers lo < hi, got {w!r}")
+            self.window = (float(w[0]), float(w[1]))
+        if not isinstance(self.normalize, bool):
+            raise ConfigError(f"normalize must be true or false, got {self.normalize!r}")
         if self.normalize:
             self.base_measure = standardize(self.base_measure)
         else:
@@ -73,6 +85,15 @@ class ExperimentConfig:
                     "base measure must be centered and standardized "
                     "(mean 0, variance 1); pass normalize=true to rescale"
                 )
+
+
+def _number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _whole(v) -> bool:
+    """A count from a config: 8 and 8.0 pass; 8.9, True, "8" and inf do not."""
+    return _number(v) and float(v).is_integer()
 
 
 def standardize(mu: MeasureSpec) -> MeasureSpec:
@@ -116,6 +137,8 @@ def parse_measure(obj: dict) -> MeasureSpec:
 
 
 def _require_keys(obj: dict, allowed: set, optional: set = frozenset()):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"expected a JSON object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)}")
@@ -130,18 +153,18 @@ def parse_config(obj: dict) -> ExperimentConfig:
     _require_keys(obj, allowed, optional={"n_values", "metrics", "grid", "normalize"})
     kwargs = {"base_measure": parse_measure(obj["base_measure"]), "output": obj["output"]}
     if "n_values" in obj:
-        kwargs["n_values"] = tuple(obj["n_values"])
+        kwargs["n_values"] = obj["n_values"]
     if "metrics" in obj:
-        kwargs["metrics"] = tuple(obj["metrics"])
+        kwargs["metrics"] = obj["metrics"]
     if "grid" in obj:
         grid = obj["grid"]
         _require_keys(grid, {"window", "n_points"}, optional={"window", "n_points"})
         if "n_points" in grid:
-            kwargs["grid_points"] = int(grid["n_points"])
+            kwargs["grid_points"] = grid["n_points"]
         if "window" in grid:
-            kwargs["window"] = tuple(grid["window"])
+            kwargs["window"] = grid["window"]
     if "normalize" in obj:
-        kwargs["normalize"] = bool(obj["normalize"])
+        kwargs["normalize"] = obj["normalize"]
     return ExperimentConfig(**kwargs)
 
 

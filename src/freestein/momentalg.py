@@ -1,7 +1,8 @@
 """Moment sequences, free cumulants, and cumulant-level free convolution.
 
 The transforms solve M(z) = 1 + sum_s kappa_s z^s M(z)^s coefficient by
-coefficient; only mixed moments walk the lattice of :mod:`freestein.ncpart`.
+coefficient, and mixed moments of free pairs solve a triangular system of
+the same kind; nothing here walks the lattice of :mod:`freestein.ncpart`.
 Arithmetic deliberately stays in plain Python numbers, so integer and
 Fraction inputs round-trip exactly; floats round-trip to ~1e-15.
 """
@@ -12,8 +13,6 @@ import math
 import operator
 
 import numpy as np
-
-from . import ncpart
 
 HANKEL_TOL = 1e-10
 MATCH_TOL = 1e-12
@@ -114,28 +113,34 @@ def semicircle_moments(order: int) -> MomentSequence:
     return MomentSequence(m[: order + 1], validate=False)
 
 
+def _grow(pw: list, f: list) -> None:
+    """Extend pw[s] = [z^j] f(z)^s, s >= 0, by the anti-diagonal s + j = len(f).
+
+    Start from [[1]]; row s then ends at j = len(f) - 1 - s.  Highest s
+    first, so that row s - 1 still ends at j = len(f) - s and reversed()
+    pairs it with f_0..f_j (map stops at the shorter).
+    """
+    pw.append([])
+    for s in range(len(pw) - 1, 0, -1):
+        pw[s].append(sum(map(operator.mul, f, reversed(pw[s - 1]))))
+    pw[0].append(0)
+
+
 def _series(given: tuple, invert: bool) -> tuple:
     """(m_0..m_N, kappa_1..kappa_N) from kappa_1..kappa_N, or from m_1..m_N.
 
     The z^n coefficient of M(z) = 1 + sum_s kappa_s z^s M(z)^s reads
     m_n = sum_{s<=n} kappa_s [z^{n-s}] M(z)^s; the s = n term is kappa_n and
     the rest need only m_0..m_{n-1}, so it is solved for m_n or (``invert``)
-    for kappa_n.  pw[s][j] = [z^j] M(z)^s grows one anti-diagonal s + j = n
-    at a time (Nica & Speicher, Lectures on the Combinatorics of Free
+    for kappa_n (Nica & Speicher, Lectures on the Combinatorics of Free
     Probability, 2006, Lecture 11).
     """
-    m, kappa = [1], []
-    pw = [None, []]  # before step n, row s < n ends at j = n - 1 - s
+    m, kappa, pw = [1], [], [[1]]
     for n in range(1, len(given) + 1):
-        # highest s first, so that row s - 1 still ends at j = n - s and
-        # reversed() pairs it with m_0..m_j (map stops at the shorter)
-        for s in range(n - 1, 1, -1):
-            pw[s].append(sum(map(operator.mul, m, reversed(pw[s - 1]))))
-        pw[1].append(m[-1])
+        _grow(pw, m)
         rest = sum(map(operator.mul, kappa, [row[-1] for row in pw[1:]]))
         kappa.append(given[n - 1] - rest if invert else given[n - 1])
         m.append(given[n - 1] if invert else rest + given[n - 1])
-        pw.append([1])
     return m, kappa
 
 
@@ -210,21 +215,29 @@ def matching_rank(m: MomentSequence) -> int:
 def mixed_moment(kappa_a: FreeCumulantSequence, m_b: MomentSequence, n: int):
     """tau[(ab)^n] for free a, b with the given cumulants / moments.
 
-    Sums kappa_pi[a] * tau_{K(pi)}[b] over pi in NC(n); K is the Kreweras
-    complement.
+    The sum of kappa_pi[a] tau_{K(pi)}[b] over NC(n) (Nica & Speicher,
+    Lecture 14), solved as power series.  With M, H, Q the generating
+    functions of tau[(ab)^j], tau[b(ab)^j], tau[a(ba)^j] and
+    A(w) = sum_s kappa_s(a) w^{s-1}, B likewise for b, splitting a word at
+    the cumulant block of its first a (or b) gives
+    M = 1 + zH A(zH), H = M B(zQ) and Q = M A(zH).  [z^n] M needs h_{<n},
+    and h_n, q_n need m_{<=n}: one exact loop over n, as in :func:`_series`.
     """
-    if n < 1 or n > ncpart.MAX_KREWERAS_PAIRS:
-        raise ValueError(
-            f"mixed moments supported for 1 <= n <= {ncpart.MAX_KREWERAS_PAIRS}"
-        )
+    if n < 1:
+        raise ValueError(f"mixed moments need n >= 1 (got {n})")
+    _check_order(n)
     if kappa_a.order < n or m_b.order < n:
         raise ValueError("sequences truncated below the requested length")
-    acc = 0
-    for sizes_pi, sizes_k in ncpart.nc_kreweras_size_pairs(n):
-        term = 1
-        for s in sizes_pi:
-            term = term * kappa_a[s]
-        for s in sizes_k:
-            term = term * m_b[s]
-        acc = acc + term
-    return acc
+    ka, kb = kappa_a.values, _series(m_b.values[1 : n + 1], invert=True)[1]
+    m, h, q, ph, pq = [1], [], [], [[1]], [[1]]  # ph[s][j] = [z^j] H^s, pq for Q
+
+    def at_k(kappa, pw):  # [z^k] M(z) sum_s kappa_{s+1} (z F(z))^s, pw[s] = F^s to k - s
+        return sum(c * sum(map(operator.mul, m, reversed(row))) for c, row in zip(kappa, pw))
+
+    for _ in range(n):
+        h.append(at_k(kb, pq))
+        q.append(at_k(ka, ph))
+        _grow(ph, h)
+        _grow(pq, q)
+        m.append(sum(map(operator.mul, ka, [row[-1] for row in ph[1:]])))
+    return m[n]

@@ -7,14 +7,13 @@ capped at n = 12 so that exhaustive tests stay cheap.
 
 The lattice is walked as :func:`nc_blocks`, tuples of shared canonical
 block tuples; :class:`NcPartition` objects are built only at the public
-API, and internal walks such as :func:`nc_kreweras_size_pairs` skip them.
-That table feeds the mixed moments of :mod:`freestein.momentalg`; its
-moment-cumulant transforms solve a power-series equation and need no
-lattice walk.
+API.  :mod:`freestein.momentalg` solves power-series equations for its
+transforms and mixed moments and walks no lattice.
 
 The lattice maps use closed forms.  The Kreweras complement is the cycle
 decomposition of the permutation P_pi^{-1} gamma with gamma = (1 2 ... n)
-(Biane, Discrete Math. 175, 1997).  The Moebius function factorises over
+(Biane, Discrete Math. 175, 1997), and the same cycle count decides
+whether a partition is non-crossing.  The Moebius function factorises over
 the blocks of the upper partition, and each factor is a signed Catalan
 product over the blocks of a Kreweras complement (Nica & Speicher,
 Lectures on the Combinatorics of Free Probability, 2006, Lecture 10).
@@ -28,10 +27,6 @@ from functools import lru_cache
 
 MAX_GROUND_SET = 12
 MAX_CATALAN = 30
-#: Largest n of the Kreweras size-pair table, and so of mixed moments.
-#: Below MAX_GROUND_SET: the n = 12 table costs about 12x the time and 6x
-#: the memory of the n = 10 one.
-MAX_KREWERAS_PAIRS = 10
 
 
 def catalan(n: int) -> int:
@@ -167,30 +162,20 @@ def enumerate_partitions(n: int) -> list:
     return out
 
 
-def _blocks_cross(b1, b2) -> bool:
-    # crossing pattern a < c < b < d with a,b in one block and c,d in the other
-    merged = sorted([(e, 0) for e in b1] + [(e, 1) for e in b2])
-    switches = 0
-    last = merged[0][1]
-    for _, tag in merged[1:]:
-        if tag != last:
-            switches += 1
-            last = tag
-    return switches >= 3
-
-
 def is_noncrossing(p: NcPartition) -> bool:
-    """True iff no two blocks interleave."""
-    bs = p.blocks
-    for i in range(len(bs)):
-        if len(bs[i]) < 2:
-            continue
-        for j in range(i + 1, len(bs)):
-            if len(bs[j]) < 2:
-                continue
-            if _blocks_cross(bs[i], bs[j]):
-                return False
-    return True
+    """True iff no two blocks interleave.
+
+    Counted by cycles: #P_pi + #(P_pi^{-1} gamma) <= n + 1 for every
+    partition, with equality exactly when P_pi lies on a geodesic from the
+    identity to gamma = (1 2 ... n), i.e. when pi is non-crossing (Biane,
+    Discrete Math. 175, 1997).  The empty partition is non-crossing.
+    """
+    return _geodesic(p, _kreweras_blocks(p.n, p.blocks))
+
+
+def _geodesic(p: NcPartition, cycles: tuple) -> bool:
+    # the empty partition (n = 0) is vacuously non-crossing
+    return not p.n or len(p.blocks) + len(cycles) == p.n + 1
 
 
 @lru_cache(maxsize=None)
@@ -258,13 +243,17 @@ def kreweras(p: NcPartition) -> NcPartition:
     increasing order and gamma = (1 2 ... n) (Biane, Discrete Math. 175,
     1997), which takes O(n).
     """
-    if not is_noncrossing(p):
+    comp = _kreweras_blocks(p.n, p.blocks)
+    if not _geodesic(p, comp):
         raise ValueError("Kreweras complement requires a non-crossing partition")
-    return NcPartition(p.n, _kreweras_blocks(p.n, p.blocks), _validated=True)
+    return NcPartition(p.n, comp, _validated=True)
 
 
 def _kreweras_blocks(n: int, blocks: tuple) -> tuple:
-    """Canonical blocks of K(pi) for the non-crossing blocks of pi (unchecked)."""
+    """Canonical cycles of P_pi^{-1} gamma for any partition pi (unchecked).
+
+    For a non-crossing pi these are the blocks of K(pi).
+    """
     prev = [0] * (n + 1)  # P_pi^{-1}: each element to its predecessor in its block
     for b in blocks:
         for j, e in enumerate(b):
@@ -324,13 +313,3 @@ def _sign_catalan_product(sizes) -> int:
     for s in sizes:
         out *= (-1) ** (s - 1) * catalan(s - 1)
     return out
-
-
-@lru_cache(maxsize=None)
-def nc_kreweras_size_pairs(n: int) -> tuple:
-    """(block sizes of pi, block sizes of K(pi)) for every pi in NC(n)."""
-    if n > MAX_KREWERAS_PAIRS:
-        raise ValueError(f"Kreweras size-pair table capped at n = {MAX_KREWERAS_PAIRS}")
-    return tuple(
-        (_block_sizes(b), _block_sizes(_kreweras_blocks(n, b))) for b in nc_blocks(n)
-    )

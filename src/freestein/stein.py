@@ -81,25 +81,27 @@ class SteinDiscrepancy:
         return self.max_abs <= tol
 
 
+def _gap(m: MomentSequence, r: int):
+    """m_{r+1} - sum_{k<r} m_k m_{r-1-k}: zero for every r exactly on the semicircle."""
+    return m[r + 1] - sum(m[k] * m[r - 1 - k] for k in range(r))
+
+
 def stein_discrepancy(m: MomentSequence) -> SteinDiscrepancy:
     """Pairing of mu (x) mu against L[x^r] for r = 0..order-1."""
-    out = []
-    for r in range(m.order):
-        out.append(m[r + 1] - sum(m[k] * m[r - 1 - k] for k in range(r)))
-    return SteinDiscrepancy(tuple(out))
+    return SteinDiscrepancy(tuple(_gap(m, r) for r in range(m.order)))
 
 
 def generator_apply(m: MomentSequence, p: int):
     """Closed form of d/dtheta <P_theta mu, x^p> at theta = 0.
 
-    Equals -p m_p + p sum_{l=0}^{p-2} m_l m_{p-2-l}; identically zero on
-    the semicircle by its moment recursion.
+    Equals -p m_p + p sum_{l=0}^{p-2} m_l m_{p-2-l} = -p d_{p-1}, with d the
+    :func:`stein_discrepancy` vector; identically zero on the semicircle.
     """
     if p < 1:
         raise ValueError("power must be >= 1")
     if p > m.order:
         raise ValueError(f"power {p} exceeds truncation order {m.order}")
-    return -p * m[p] + p * sum(m[l] * m[p - 2 - l] for l in range(p - 1))
+    return -p * _gap(m, p - 1)
 
 
 def evolve_cumulants(kappa: FreeCumulantSequence, theta: float) -> FreeCumulantSequence:

@@ -275,6 +275,43 @@ class TestBerryEsseenAndFit:
         assert "line 6" in capsys.readouterr().err
         assert small_run.read_text() == before
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            '"grid": {"window": [-3, 1e999]}',
+            '"grid": {"window": [0]}',
+            '"grid": {"window": ["a", 1]}',
+            '"normalize": "false"',
+            '"normalize": 1',
+            '"n_values": [8.9, 16.2]',
+            '"n_values": [true, 2]',
+            '"grid": {"n_points": 201.7}',
+            '"grid": {"n_points": "abc"}',
+            '"grid": 5',
+            '"metrics": 5',
+            '"output": 5',
+        ],
+        ids=[
+            "window-inf", "window-one-number", "window-text", "normalize-text",
+            "normalize-number", "n-values-fractional", "n-values-bool",
+            "n-points-fractional", "n-points-text", "grid-number", "metrics-number",
+            "output-number",
+        ],
+    )
+    def test_mangled_config_exits_2_before_output(self, tmp_path, field, capsys):
+        out = tmp_path / "rates.csv"
+        cfg = {
+            "base_measure": {"type": "atomic", "atoms": [[1.0, 0.5], [-1.0, 0.5]]},
+            "n_values": [4, 8],
+            "output": str(out),
+        }
+        cfg.update(json.loads("{" + field + "}"))
+        assert run(["berry-esseen", "--config", json.dumps(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert not out.exists()
+
     def test_fit_on_missing_csv_exits_2(self, tmp_path, capsys):
         assert run(["fit", "--csv", str(tmp_path / "none.csv"), "--metric", "w1"]) == 2
         assert "config error" in capsys.readouterr().err

@@ -1,7 +1,11 @@
-"""Source hygiene: every name a library module imports is used there.
+"""Source hygiene: no dead imports and no dead private names in the library.
 
-A stdlib ``ast`` check in place of a linter.  ``__init__.py`` is skipped,
-since its imports are re-exports, and so are ``__future__`` imports.
+Stdlib ``ast`` checks in place of a linter.  Every name a module imports
+is used there; ``__init__.py`` is skipped, since its imports are
+re-exports, and so are ``__future__`` imports.  Every private top-level
+name (one leading underscore) of a module is referenced somewhere in the
+package beyond its definition, so that helpers whose last caller went
+do not linger as test-only code.
 """
 
 import ast
@@ -11,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "freestein"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -36,3 +41,47 @@ def test_every_import_is_used(path):
 def test_checker_sees_unused_and_used_names():
     source = "import os\nimport numpy as np\nfrom . import a, b as c\nnp.zeros(1)\nc.f()\n"
     assert unused_imports(source) == [(1, "os"), (3, "a")]
+
+
+def private_definitions(source: str) -> list:
+    """(line, name) of the top-level private names a module defines."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for n in nodes for t in ast.walk(n) if isinstance(t, ast.Name)]
+        else:
+            continue
+        out += [(node.lineno, t) for t in targets if t.startswith("_") and not t.startswith("__")]
+    return out
+
+
+def references(source: str) -> set:
+    """Names read or imported in a module, as plain names or attributes."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_used(path):
+    used = set().union(*(references(p.read_text()) for p in ALL_MODULES))
+    assert [d for d in private_definitions(path.read_text()) if d[1] not in used] == []
+
+
+def test_private_checker_sees_defined_and_referenced_names():
+    source = (
+        "_A = 1\n_B: int = 2\n__all__ = []\ndef _f():\n    _tmp = 3\n"
+        "class _C: pass\ndef g(): return _A + m._f()\n"
+    )
+    assert private_definitions(source) == [(1, "_A"), (2, "_B"), (4, "_f"), (6, "_C")]
+    refs = references(source)
+    assert {"_A", "_f"} <= refs and not {"_B", "_C", "_tmp", "__all__"} & refs

@@ -1,4 +1,4 @@
-"""Moment/cumulant transforms against explicit non-crossing-sum oracles."""
+"""Moment/cumulant transforms and mixed moments against explicit non-crossing-sum oracles."""
 
 import math
 import random
@@ -13,7 +13,7 @@ from freestein import momentalg as ma
 from freestein import ncpart, ncsymb
 from freestein.analytic import MeasureSpec
 from freestein.momentalg import FreeCumulantSequence, MomentSequence
-from test_ncpart import nc_type_counts
+from test_ncpart import nc_kreweras_size_pairs, nc_type_counts
 
 
 def atomic_moments(atoms, order):
@@ -52,6 +52,19 @@ def type_count_moment(kappa: FreeCumulantSequence, n: int):
         term = cnt
         for s in sizes:
             term = term * kappa[s]
+        total = total + term
+    return total
+
+
+def lattice_mixed_moment(kappa_a: FreeCumulantSequence, m_b: MomentSequence, n: int):
+    """Oracle: tau[(ab)^n] = sum over pi in NC(n) of kappa_pi[a] * m_{K(pi)}[b]."""
+    total = 0
+    for sizes_pi, sizes_k in nc_kreweras_size_pairs(n):
+        term = 1
+        for s in sizes_pi:
+            term = term * kappa_a[s]
+        for s in sizes_k:
+            term = term * m_b[s]
         total = total + term
     return total
 
@@ -262,10 +275,38 @@ class TestMixedMoment:
         kb = ma.moments_to_cumulants(BERNOULLI)
         assert ma.mixed_moment(kb, BERNOULLI, 2) == 0
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_exact_against_lattice_oracle(self, n):
+        rng = random.Random(n)
+        for _ in range(2):
+            ka = FreeCumulantSequence(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+            )
+            mb = MomentSequence(
+                [1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(max(n, 2))],
+                validate=False,
+            )
+            assert ma.mixed_moment(ka, mb, n) == lattice_mixed_moment(ka, mb, n)
+            ka_int = FreeCumulantSequence([rng.randint(-4, 4) for _ in range(n)])
+            mb_int = MomentSequence(
+                [1] + [rng.randint(-4, 4) for _ in range(max(n, 2))], validate=False
+            )
+            got = ma.mixed_moment(ka_int, mb_int, n)
+            assert type(got) is int
+            assert got == lattice_mixed_moment(ka_int, mb_int, n)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_floats_against_lattice_oracle(self, n):
+        a = atomic_moments([(1.5, 4 / 13), (-2 / 3, 9 / 13)], max(n, 2))
+        b = atomic_moments([(-1.2, 0.25), (0.1, 0.5), (1.7, 0.25)], max(n, 2))
+        ka = ma.moments_to_cumulants(a)
+        want = lattice_mixed_moment(ka, b, n)
+        assert abs(ma.mixed_moment(ka, b, n) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10, 11, 12])
     def test_trace_symmetry(self, n):
-        a = atomic_moments([(2.0, 0.2), (-0.5, 0.8)], 10)
-        b = atomic_moments([(1.0, 0.5), (-1.0, 0.5)], 10)
+        a = atomic_moments([(2.0, 0.2), (-0.5, 0.8)], 12)
+        b = atomic_moments([(1.0, 0.5), (-1.0, 0.5)], 12)
         lhs = ma.mixed_moment(ma.moments_to_cumulants(a), b, n)
         rhs = ma.mixed_moment(ma.moments_to_cumulants(b), a, n)
         assert abs(lhs - rhs) < 1e-12
@@ -274,6 +315,13 @@ class TestMixedMoment:
         ka = ma.moments_to_cumulants(BERNOULLI)
         with pytest.raises(ValueError):
             ma.mixed_moment(ka, BERNOULLI, 6)
+
+    @pytest.mark.parametrize("n", [0, ma.MAX_ORDER + 1])
+    def test_order_bounds(self, n):
+        ka = FreeCumulantSequence([1] * 13)
+        mb = MomentSequence([1] * 14, validate=False)
+        with pytest.raises(ValueError):
+            ma.mixed_moment(ka, mb, n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matrix_oracle(self, n):

@@ -2,11 +2,13 @@
 
 Brute-force oracles live here, against which the closed forms in
 :mod:`freestein.ncpart` are pinned: NC(n) is re-enumerated by a plain
-open-block recursion, the Kreweras complement is re-derived by exhaustive
-search over compatible complements and by greedy pairwise merging, and the
-Moebius function by its defining interval recursion.  Kreweras' count of
-NC(n) by block type, the oracle of the moment-cumulant transforms, is
-pinned here against the enumeration.
+open-block recursion, the crossing test by comparing blocks pairwise, the
+Kreweras complement is re-derived by exhaustive search over compatible
+complements and by greedy pairwise merging, and the Moebius function by
+its defining interval recursion.  Kreweras' count of NC(n) by block type,
+the oracle of the moment-cumulant transforms, and the table of
+(pi, K(pi)) block sizes, the oracle of the mixed moments, are pinned here
+against the enumeration.
 """
 
 import math
@@ -53,6 +55,18 @@ def recursive_nc(n: int) -> list:
     return out
 
 
+def blocks_cross(b1, b2) -> bool:
+    """Oracle: a < c < b < d with a, b in one block and c, d in the other."""
+    merged = sorted([(e, 0) for e in b1] + [(e, 1) for e in b2])
+    switches = sum(x[1] != y[1] for x, y in zip(merged, merged[1:]))
+    return switches >= 3
+
+
+def pairwise_noncrossing(p: NcPartition) -> bool:
+    """Oracle: no two blocks of p cross."""
+    return not any(blocks_cross(b1, b2) for b1, b2 in combinations(p.blocks, 2))
+
+
 def interlace(p: NcPartition, comp_blocks) -> NcPartition:
     """Partition of [2n] with p on odd points and comp_blocks on even."""
     blocks = [tuple(2 * e - 1 for e in b) for b in p.blocks]
@@ -64,12 +78,12 @@ def brute_kreweras(p: NcPartition) -> NcPartition:
     """Oracle: the maximal complement sigma with p union sigma non-crossing."""
     best = None
     for sigma in ncpart.enumerate_nc(p.n):
-        if ncpart.is_noncrossing(interlace(p, sigma.blocks)):
+        if pairwise_noncrossing(interlace(p, sigma.blocks)):
             if best is None or ncpart.leq(best, sigma):
                 best = sigma
     # maximality, not just a maximal chain endpoint
     for sigma in ncpart.enumerate_nc(p.n):
-        if ncpart.is_noncrossing(interlace(p, sigma.blocks)):
+        if pairwise_noncrossing(interlace(p, sigma.blocks)):
             assert ncpart.leq(sigma, best)
     return best
 
@@ -88,7 +102,7 @@ def greedy_kreweras(p: NcPartition) -> NcPartition:
         for i, j in combinations(range(len(comp)), 2):
             trial = [b for k, b in enumerate(comp) if k not in (i, j)]
             trial.append(comp[i] + comp[j])
-            if ncpart.is_noncrossing(interlace(p, trial)):
+            if pairwise_noncrossing(interlace(p, trial)):
                 comp = trial
                 merged = True
                 break
@@ -186,6 +200,16 @@ class TestEnumeration:
 
 
 class TestCrossing:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_cycle_count_matches_pairwise_oracle(self, n):
+        for p in ncpart.enumerate_partitions(n):
+            assert ncpart.is_noncrossing(p) == pairwise_noncrossing(p), p
+
+    def test_empty_partition_is_noncrossing(self):
+        empty = NcPartition(0, ())
+        assert ncpart.is_noncrossing(empty)
+        assert ncpart.kreweras(empty) == empty
+
     def test_nested_blocks(self):
         assert ncpart.is_noncrossing(NcPartition(3, [(1, 2), (3,)]))
 
@@ -385,23 +409,32 @@ class TestTypeCounts:
             assert sum(nc_type_counts(n).values()) == ncpart.catalan(n)
 
 
+@lru_cache(maxsize=None)
+def nc_kreweras_size_pairs(n: int) -> tuple:
+    """Oracle: (block sizes of pi, block sizes of K(pi)) for every pi in NC(n).
+
+    Walks the lattice as shared block tuples.  The mixed moments of
+    :mod:`freestein.momentalg` are pinned against the Nica-Speicher sum of
+    kappa_pi[a] tau_{K(pi)}[b] over this table.
+    """
+    return tuple(
+        (ncpart._block_sizes(b), ncpart._block_sizes(ncpart._kreweras_blocks(n, b)))
+        for b in ncpart.nc_blocks(n)
+    )
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_kreweras_size_pairs_match_partitions(n):
     want = tuple(
         (p.block_sizes(), ncpart.kreweras(p).block_sizes()) for p in ncpart.enumerate_nc(n)
     )
-    assert ncpart.nc_kreweras_size_pairs(n) == want
-
-
-def test_kreweras_size_pairs_cap():
-    with pytest.raises(ValueError):
-        ncpart.nc_kreweras_size_pairs(ncpart.MAX_KREWERAS_PAIRS + 1)
+    assert nc_kreweras_size_pairs(n) == want
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6), st.data())
 def test_kreweras_size_pairs_consistent(n, data):
-    pairs = ncpart.nc_kreweras_size_pairs(n)
+    pairs = nc_kreweras_size_pairs(n)
     assert len(pairs) == ncpart.catalan(n)
     sizes_pi, sizes_k = data.draw(st.sampled_from(pairs))
     assert sum(sizes_pi) == n and sum(sizes_k) == n

@@ -1,6 +1,7 @@
 """Stein operator, discrepancy, generator identity, dual equation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,6 +105,18 @@ class TestGeneratorApply:
 
     def test_bernoulli_p4(self):
         assert stein.generator_apply(BERNOULLI, 4) == 4
+
+    @pytest.mark.parametrize("kind", [lambda v, d: v, Fraction], ids=["int", "Fraction"])
+    def test_exact_closed_form_and_discrepancy(self, kind):
+        # not a law: the identity is algebraic, and exact inputs stay exact
+        raw = (3, -2, 7, 5, -4, 9, 2, -8)
+        m = MomentSequence([1] + [kind(v, j + 2) for j, v in enumerate(raw)], validate=False)
+        d = stein.stein_discrepancy(m).values
+        for p in range(1, m.order + 1):
+            got = stein.generator_apply(m, p)
+            assert type(got) is type(m[1])
+            assert got == -p * m[p] + p * sum(m[l] * m[p - 2 - l] for l in range(p - 1))
+            assert got == -p * d[p - 1]
 
     def test_power_bounds(self):
         with pytest.raises(ValueError):
