@@ -61,9 +61,16 @@ def _cmd_moments(args) -> int:
     return 0
 
 
+def _require_output_path(path) -> None:
+    """Refuse an output path that is a directory or whose directory is missing."""
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise ConfigError(f"output {str(path)!r} is a directory or its directory is missing")
+
+
 def _cmd_convolve(args) -> int:
     _require(args, "n", 1)
     _require(args, "points", MIN_GRID_POINTS)
+    _require_output_path(args.out)
     try:
         scale = 1.0 / math.sqrt(args.n) if args.scale == "auto" else float(args.scale)
     except ValueError:
@@ -117,10 +124,12 @@ def _cmd_stein_check(args) -> int:
     return 0
 
 
-def _parse_partition(blocks_json: str) -> ncpart.NcPartition:
+def _parse_partition(blocks_json: str, n: int | None = None) -> ncpart.NcPartition:
+    """A non-crossing partition of [n]; n defaults to the number of elements given."""
     try:
         blocks = json.loads(blocks_json)
-        n = sum(len(b) for b in blocks)
+        if n is None:
+            n = sum(len(b) for b in blocks)
         return ncpart.NcPartition.noncrossing(n, [tuple(b) for b in blocks])
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad partition {blocks_json!r}: {exc}") from exc
@@ -148,8 +157,10 @@ def _cmd_nc(args) -> int:
     if args.what == "mobius":
         _require(args, "n", 1, ncpart.MAX_GROUND_SET)
         if args.p or args.q:
-            p = _parse_partition(args.p) if args.p else ncpart.NcPartition.zero(args.n)
-            q = _parse_partition(args.q) if args.q else ncpart.NcPartition.one(args.n)
+            p = _parse_partition(args.p, args.n) if args.p else ncpart.NcPartition.zero(args.n)
+            q = _parse_partition(args.q, args.n) if args.q else ncpart.NcPartition.one(args.n)
+            if not ncpart.leq(p, q):
+                raise ConfigError(f"nc mobius needs --p <= --q, got {p} and {q}")
             print(ncpart.mobius(p, q))
         else:
             p = ncpart.NcPartition.zero(args.n)
@@ -164,6 +175,7 @@ def _cmd_nc(args) -> int:
 
 def _cmd_berry_esseen(args) -> int:
     cfg = ex.parse_config(_load_json(args.config))
+    _require_output_path(cfg.output)
     rows = ex.run_experiment(cfg)
     failed = 0
     for n, rep in rows:

@@ -88,7 +88,11 @@ class ExperimentConfig:
 
 
 def _number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite real from a config; bools and ints beyond float range do not pass."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _whole(v) -> bool:
@@ -131,7 +135,7 @@ def parse_measure(obj: dict) -> MeasureSpec:
             return MeasureSpec.from_grid(GridDensity.from_csv(obj["path"]))
     except ConfigError:
         raise
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError) as exc:
         raise ConfigError(f"bad measure definition: {exc}") from exc
     raise ConfigError(f"unknown measure type {kind!r}")
 

@@ -101,16 +101,16 @@ def _check_order(order: int) -> None:
 
 
 def semicircle_moments(order: int) -> MomentSequence:
-    """Moments of the standard semicircle via m_{r+1} = sum m_k m_{r-1-k}.
+    """Moments of the standard semicircle, as exact ints.
 
-    Odd moments vanish; even moments are the Catalan numbers.
+    Odd moments vanish; m_{2k} = binom(2k, k)/(k+1) is the Catalan number.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    m = [1, 0]
-    for r in range(1, order):
-        m.append(sum(m[k] * m[r - 1 - k] for k in range(r)))
-    return MomentSequence(m[: order + 1], validate=False)
+    return MomentSequence(
+        [0 if j % 2 else math.comb(j, j // 2) // (j // 2 + 1) for j in range(order + 1)],
+        validate=False,
+    )
 
 
 def _grow(pw: list, f: list) -> None:

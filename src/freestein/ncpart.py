@@ -1,23 +1,26 @@
-"""Set-partition and non-crossing-partition combinatorics.
+"""Non-crossing-partition combinatorics.
 
-Enumeration of partitions of [n], the non-crossing lattice NC(n) with its
-refinement order, Kreweras complementation and the Moebius function of the
-lattice.  Everything here is exact integer combinatorics; enumeration is
-capped at n = 12 so that exhaustive tests stay cheap.
+The non-crossing lattice NC(n) with its refinement order, Kreweras
+complementation and the Moebius function of the lattice.  Everything here
+is exact integer combinatorics; enumeration is capped at n = 12 so that
+exhaustive tests stay cheap.
 
 The lattice is walked as :func:`nc_blocks`, tuples of shared canonical
 block tuples; :class:`NcPartition` objects are built only at the public
 API.  :mod:`freestein.momentalg` solves power-series equations for its
 transforms and mixed moments and walks no lattice.
 
-The lattice maps use closed forms.  The Kreweras complement is the cycle
-decomposition of the permutation P_pi^{-1} gamma with gamma = (1 2 ... n)
-(Biane, Discrete Math. 175, 1997), and the same cycle count decides
-whether a partition is non-crossing.  The Moebius function factorises over
-the blocks of the upper partition, and each factor is a signed Catalan
-product over the blocks of a Kreweras complement (Nica & Speicher,
-Lectures on the Combinatorics of Free Probability, 2006, Lecture 10).
-The brute-force definitions serve as oracles in the test suite.
+The lattice maps read one cycle count.  P_pi cycles each block of pi in
+increasing order, and gamma = (1 2 ... n) is P of the one-block partition.
+The cycles of P_p^{-1} P_q decide whether P_p lies on a geodesic from the
+identity to P_q, which for q = 1-hat says that p is non-crossing and in
+general that p is non-crossing with p <= q (Biane, Discrete Math. 175,
+1997).  Those cycles are then the blocks of the relative Kreweras
+complement K_q(p), the Kreweras complement K(p) for q = 1-hat, and the
+Moebius function is a signed Catalan product over them (Nica & Speicher,
+Lectures on the Combinatorics of Free Probability, 2006, Lectures 10 and
+18).  The brute-force definitions, the enumeration of all set partitions
+among them, serve as oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -130,36 +133,9 @@ def _block_sizes(blocks) -> tuple:
     return tuple(sorted(map(len, blocks), reverse=True))
 
 
-def _from_rgs(rgs) -> NcPartition:
-    blocks = {}
-    for i, lab in enumerate(rgs, start=1):
-        blocks.setdefault(lab, []).append(i)
-    return NcPartition(
-        len(rgs), tuple(tuple(b) for b in sorted(blocks.values())), _validated=True
-    )
-
-
 def _check_bound(n: int) -> None:
     if not 1 <= n <= MAX_GROUND_SET:
         raise ValueError(f"enumeration supported for 1 <= n <= {MAX_GROUND_SET}, got {n}")
-
-
-def enumerate_partitions(n: int) -> list:
-    """All set partitions of [n], ordered lexicographically by RGS."""
-    _check_bound(n)
-    out = []
-    rgs = [0] * n
-
-    def rec(i: int, mx: int) -> None:
-        if i == n:
-            out.append(_from_rgs(rgs))
-            return
-        for lab in range(mx + 2):
-            rgs[i] = lab
-            rec(i + 1, max(mx, lab))
-
-    rec(1, 0)
-    return out
 
 
 def is_noncrossing(p: NcPartition) -> bool:
@@ -170,12 +146,17 @@ def is_noncrossing(p: NcPartition) -> bool:
     identity to gamma = (1 2 ... n), i.e. when pi is non-crossing (Biane,
     Discrete Math. 175, 1997).  The empty partition is non-crossing.
     """
-    return _geodesic(p, _kreweras_blocks(p.n, p.blocks))
+    top = NcPartition.one(p.n).blocks
+    return not p.n or _geodesic(p.n, p.blocks, top, _cycles(p.n, p.blocks, top))
 
 
-def _geodesic(p: NcPartition, cycles: tuple) -> bool:
-    # the empty partition (n = 0) is vacuously non-crossing
-    return not p.n or len(p.blocks) + len(cycles) == p.n + 1
+def _geodesic(n: int, lower: tuple, upper: tuple, cycles: tuple) -> bool:
+    """#lower + #cycles(P_lower^{-1} P_upper) = n + #upper.
+
+    The lengths |sigma| = n - #cycles(sigma) of P_lower and P_lower^{-1}
+    P_upper then add up to that of P_upper.
+    """
+    return len(lower) + len(cycles) == n + len(upper)
 
 
 @lru_cache(maxsize=None)
@@ -239,25 +220,31 @@ def kreweras(p: NcPartition) -> NcPartition:
     K(pi) is the maximal sigma in NC(n) such that pi on the points
     1, 2, ..., n and sigma on interlaced points 1', 2', ..., n' (i' right
     after i) together stay non-crossing.  It equals the cycle partition of
-    the permutation P_pi^{-1} gamma, where P_pi cycles each block in
-    increasing order and gamma = (1 2 ... n) (Biane, Discrete Math. 175,
-    1997), which takes O(n).
+    the permutation P_pi^{-1} gamma, where gamma = (1 2 ... n) (Biane,
+    Discrete Math. 175, 1997), which takes O(n).
     """
-    comp = _kreweras_blocks(p.n, p.blocks)
-    if not _geodesic(p, comp):
+    top = NcPartition.one(p.n).blocks
+    comp = _cycles(p.n, p.blocks, top)
+    if p.n and not _geodesic(p.n, p.blocks, top, comp):
         raise ValueError("Kreweras complement requires a non-crossing partition")
     return NcPartition(p.n, comp, _validated=True)
 
 
-def _kreweras_blocks(n: int, blocks: tuple) -> tuple:
-    """Canonical cycles of P_pi^{-1} gamma for any partition pi (unchecked).
+def _cycles(n: int, lower: tuple, upper: tuple) -> tuple:
+    """Canonical cycles of P_lower^{-1} P_upper for partitions of [n] (unchecked).
 
-    For a non-crossing pi these are the blocks of K(pi).
+    P_pi cycles each block of pi in increasing order, so P_{1-hat} is
+    gamma = (1 2 ... n).  For lower <= upper in NC(n) the cycles are the
+    blocks of the relative Kreweras complement K_upper(lower).
     """
-    prev = [0] * (n + 1)  # P_pi^{-1}: each element to its predecessor in its block
-    for b in blocks:
-        for j, e in enumerate(b):
-            prev[e] = b[j - 1]
+    step = [0] * (n + 1)  # P_upper: each element to its successor in its block
+    for b in upper:
+        for e, nxt in zip(b, b[1:] + b[:1]):
+            step[e] = nxt
+    prev = [0] * (n + 1)  # P_lower^{-1}: each element to its predecessor
+    for b in lower:
+        for e, pre in zip(b, b[-1:] + b[:-1]):
+            prev[e] = pre
     seen = [False] * (n + 1)
     out = []
     for start in range(1, n + 1):  # a new cycle starts at its least element
@@ -268,7 +255,7 @@ def _kreweras_blocks(n: int, blocks: tuple) -> tuple:
         while not seen[e]:
             seen[e] = True
             cycle.append(e)
-            e = prev[e % n + 1]
+            e = prev[step[e]]
         out.append(tuple(sorted(cycle)))
     return tuple(out)
 
@@ -276,40 +263,31 @@ def _kreweras_blocks(n: int, blocks: tuple) -> tuple:
 def mobius(p: NcPartition, q: NcPartition) -> int:
     """Moebius function of the interval [p, q] in NC(n).
 
-    The interval factorises as the product over blocks V of q of
-    [p|_V, 1_V] in NC(|V|), with p|_V relabelled to 1..|V| (Nica &
-    Speicher, Lecture 10).  The Moebius function is multiplicative over
-    such products, so mu(p, q) is the product of :func:`mobius_to_top`
-    over the blocks of q.  The test suite pins this against the defining
-    recursion mu(p, p) = 1, sum_{p <= s <= q} mu(p, s) = 0.
+    p is non-crossing with p <= q exactly when P_p lies on a geodesic from
+    the identity to P_q, i.e. when #p + #cycles(P_p^{-1} P_q) = n + #q
+    (Biane, Discrete Math. 175, 1997).  Those cycles are the blocks W of
+    the relative Kreweras complement K_q(p), and [p, q] is isomorphic to
+    [0, K_q(p)], a product of full lattices NC(|W|) (Nica & Speicher,
+    Lectures on the Combinatorics of Free Probability, 2006, Lectures 10
+    and 18).  So mu(p, q) is the product of (-1)^(|W|-1) * Catalan(|W|-1).
+    The test suite pins this against the defining recursion
+    mu(p, p) = 1, sum_{p <= s <= q} mu(p, s) = 0.
     """
     if p.n != q.n:
         raise ValueError(f"ground sets differ: {p.n} vs {q.n}")
     _check_bound(p.n)
     if not is_noncrossing(q):
         raise ValueError(f"mobius requires a non-crossing upper partition: {q}")
-    if not leq(p, q):
-        raise ValueError("mobius requires p <= q in the refinement order")
-    out = 1
-    for v in q.blocks:
-        pos = {e: j for j, e in enumerate(v, start=1)}
-        sub = tuple(tuple(pos[e] for e in b) for b in p.blocks if b[0] in pos)
-        out *= mobius_to_top(NcPartition(len(v), sub, _validated=True))
-    return out
+    cycles = _cycles(p.n, p.blocks, q.blocks)
+    if not _geodesic(p.n, p.blocks, q.blocks, cycles):
+        raise ValueError("mobius requires a non-crossing p <= q in the refinement order")
+    return math.prod((-1) ** (len(w) - 1) * catalan(len(w) - 1) for w in cycles)
 
 
 def mobius_to_top(p: NcPartition) -> int:
-    """mu(p, 1-hat), via the Kreweras anti-isomorphism [p, 1] ~ [0, K(p)].
+    """mu(p, 1-hat), by :func:`mobius`.
 
-    Each block W of K(p) contributes (-1)^(|W|-1) * Catalan(|W|-1), since
-    [0, K(p)] is a product of full lattices NC(|W|).  The test suite pins
-    this against the lattice recursion.
+    K_{1-hat}(p) is the Kreweras complement K(p), so each block W of K(p)
+    contributes (-1)^(|W|-1) * Catalan(|W|-1).
     """
-    return _sign_catalan_product(kreweras(p).block_sizes())
-
-
-def _sign_catalan_product(sizes) -> int:
-    out = 1
-    for s in sizes:
-        out *= (-1) ** (s - 1) * catalan(s - 1)
-    return out
+    return mobius(p, NcPartition.one(p.n))

@@ -118,6 +118,21 @@ class TestConvolve:
         assert args[0].split("=")[0] in captured.err
         assert not out.exists()
 
+    def test_missing_output_directory_exits_2_before_output(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "d.csv"
+        assert run(["convolve", "--measure", BERN_JSON, "-n", "4", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert not out.parent.exists()
+
+    def test_output_that_is_a_directory_exits_2_before_output(self, tmp_path, capsys):
+        assert run(["convolve", "--measure", BERN_JSON, "-n", "4", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_scale_reflects(self, tmp_path):
         out = tmp_path / "d.csv"
         args = ["convolve", "--measure", ASYM_JSON, "-n", "8", "--out", str(out), "--points", "257"]
@@ -180,6 +195,21 @@ class TestNc:
     def test_crossing_partition_exits_2(self, argv, capsys):
         assert run(argv) == 2
         assert "crossing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["-n", "4", "--p", "[[1,2]]"],
+            ["-n", "3", "--p", "[[1,2,3]]", "--q", "[[1],[2],[3]]"],
+            ["-n", "3", "--p", "[[1],[2],[3],[4]]", "--q", "[[1,2,3,4]]"],
+        ],
+        ids=["p-short-of-n", "p-above-q", "pair-beyond-n"],
+    )
+    def test_mobius_pair_outside_the_lattice_exits_2(self, args, capsys):
+        assert run(["nc", "mobius", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
 
     @pytest.mark.parametrize("n", ["0", "13"])
     def test_mobius_ground_set_bound_exits_2(self, n, capsys):
@@ -290,12 +320,14 @@ class TestBerryEsseenAndFit:
             '"grid": 5',
             '"metrics": 5',
             '"output": 5',
+            '"grid": {"n_points": 1' + "0" * 400 + "}",
+            '"base_measure": {"type": "atomic", "atoms": [[1' + "0" * 400 + ", 1]]}",
         ],
         ids=[
             "window-inf", "window-one-number", "window-text", "normalize-text",
             "normalize-number", "n-values-fractional", "n-values-bool",
             "n-points-fractional", "n-points-text", "grid-number", "metrics-number",
-            "output-number",
+            "output-number", "n-points-huge", "atom-huge",
         ],
     )
     def test_mangled_config_exits_2_before_output(self, tmp_path, field, capsys):
@@ -311,6 +343,19 @@ class TestBerryEsseenAndFit:
         assert captured.out == ""
         assert "config error" in captured.err
         assert not out.exists()
+
+    def test_missing_output_directory_exits_2_before_output(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "x.csv"
+        cfg = {
+            "base_measure": {"type": "atomic", "atoms": [[1.0, 0.5], [-1.0, 0.5]]},
+            "n_values": [4, 8],
+            "output": str(out),
+        }
+        assert run(["berry-esseen", "--config", json.dumps(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert not out.parent.exists()
 
     def test_fit_on_missing_csv_exits_2(self, tmp_path, capsys):
         assert run(["fit", "--csv", str(tmp_path / "none.csv"), "--metric", "w1"]) == 2

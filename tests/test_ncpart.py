@@ -1,7 +1,8 @@
 """Lattice combinatorics: enumeration, Kreweras, Moebius.
 
 Brute-force oracles live here, against which the closed forms in
-:mod:`freestein.ncpart` are pinned: NC(n) is re-enumerated by a plain
+:mod:`freestein.ncpart` are pinned: all set partitions of [n] are
+enumerated by restricted-growth strings, NC(n) is re-enumerated by a plain
 open-block recursion, the crossing test by comparing blocks pairwise, the
 Kreweras complement is re-derived by exhaustive search over compatible
 complements and by greedy pairwise merging, and the Moebius function by
@@ -25,6 +26,26 @@ from freestein.ncpart import NcPartition
 # B_0..B_10 and C_0..C_10, by hand / Bell triangle
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
+
+
+def enumerate_partitions(n: int) -> list:
+    """Oracle: all set partitions of [n], ordered lexicographically by RGS."""
+    out = []
+    rgs = [0] * n
+
+    def rec(i: int, mx: int) -> None:
+        if i == n:
+            blocks = {}
+            for e, lab in enumerate(rgs, start=1):
+                blocks.setdefault(lab, []).append(e)
+            out.append(NcPartition(n, blocks.values()))
+            return
+        for lab in range(mx + 2):
+            rgs[i] = lab
+            rec(i + 1, max(mx, lab))
+
+    rec(1, 0)
+    return out
 
 
 def recursive_nc(n: int) -> list:
@@ -135,7 +156,7 @@ def recursion_mobius(n: int) -> dict:
 class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bell_counts(self, n):
-        assert len(ncpart.enumerate_partitions(n)) == BELL[n]
+        assert len(enumerate_partitions(n)) == BELL[n]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_catalan_counts(self, n):
@@ -145,18 +166,18 @@ class TestEnumeration:
         assert all(ncpart.is_noncrossing(p) for p in parts)
 
     def test_n1(self):
-        assert ncpart.enumerate_partitions(1) == [NcPartition(1, [(1,)])]
+        assert enumerate_partitions(1) == [NcPartition(1, [(1,)])]
 
     def test_nc_filter_agrees(self):
         # non-crossing enumeration matches filtering all partitions, in
         # descending RGS order: no sort enforces that order
         for n in range(1, 10):
-            filtered = [p for p in ncpart.enumerate_partitions(n) if ncpart.is_noncrossing(p)]
+            filtered = [p for p in enumerate_partitions(n) if ncpart.is_noncrossing(p)]
             filtered.sort(key=lambda p: p.rgs(), reverse=True)
             assert ncpart.enumerate_nc(n) == filtered
 
     def test_unique_crossing_at_4(self):
-        parts = ncpart.enumerate_partitions(4)
+        parts = enumerate_partitions(4)
         assert len(parts) == 15
         crossing = [p for p in parts if not ncpart.is_noncrossing(p)]
         assert crossing == [NcPartition(4, [(1, 3), (2, 4)])]
@@ -176,14 +197,12 @@ class TestEnumeration:
         assert NcPartition.one(3).rgs() == (0, 0, 0)
 
     def test_partitions_rgs_lex_order(self):
-        parts = ncpart.enumerate_partitions(4)
+        parts = enumerate_partitions(4)
         rgs = [p.rgs() for p in parts]
         assert rgs == sorted(rgs)
 
     @pytest.mark.parametrize("n", [0, 13])
     def test_enumeration_bounds(self, n):
-        with pytest.raises(ValueError):
-            ncpart.enumerate_partitions(n)
         with pytest.raises(ValueError):
             ncpart.enumerate_nc(n)
 
@@ -202,7 +221,7 @@ class TestEnumeration:
 class TestCrossing:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_cycle_count_matches_pairwise_oracle(self, n):
-        for p in ncpart.enumerate_partitions(n):
+        for p in enumerate_partitions(n):
             assert ncpart.is_noncrossing(p) == pairwise_noncrossing(p), p
 
     def test_empty_partition_is_noncrossing(self):
@@ -335,6 +354,18 @@ class TestMobius:
             ncpart.mobius(NcPartition.zero(n), NcPartition.zero(n))
 
     @pytest.mark.parametrize("n", range(1, 7))
+    def test_geodesic_rejects_exactly_the_bad_pairs(self, n):
+        # every set partition p, crossing or not, against every q in NC(n)
+        table = recursion_mobius(n)
+        for q in ncpart.enumerate_nc(n):
+            for p in enumerate_partitions(n):
+                if pairwise_noncrossing(p) and ncpart.leq(p, q):
+                    assert ncpart.mobius(p, q) == table[(p, q)], (p, q)
+                else:
+                    with pytest.raises(ValueError):
+                        ncpart.mobius(p, q)
+
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_multiplicative_shortcut_matches_recursion(self, n):
         table = recursion_mobius(n)
         for (p, q), mu in table.items():
@@ -417,8 +448,9 @@ def nc_kreweras_size_pairs(n: int) -> tuple:
     :mod:`freestein.momentalg` are pinned against the Nica-Speicher sum of
     kappa_pi[a] tau_{K(pi)}[b] over this table.
     """
+    top = NcPartition.one(n).blocks
     return tuple(
-        (ncpart._block_sizes(b), ncpart._block_sizes(ncpart._kreweras_blocks(n, b)))
+        (ncpart._block_sizes(b), ncpart._block_sizes(ncpart._cycles(n, b, top)))
         for b in ncpart.nc_blocks(n)
     )
 
