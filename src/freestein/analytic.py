@@ -237,11 +237,11 @@ class MeasureEvaluator:
         return out[0] if np.isscalar(z) or np.ndim(z) == 0 else out
 
     def _accept(self, what: str, iters, resid) -> None:
-        """Record the solve's iterations; refuse a residual above RESIDUAL_ACCEPT."""
+        """Record the solve's iterations; refuse a residual above RESIDUAL_ACCEPT or NaN."""
         iterations = int(iters.max())
         self.peak_iterations = max(self.peak_iterations, iterations)
         worst = float(resid.max())
-        if worst > RESIDUAL_ACCEPT:
+        if not worst <= RESIDUAL_ACCEPT:
             raise ConvergenceError(
                 f"{what} did not converge (residual {worst:.3e})",
                 residual=worst,
@@ -260,9 +260,12 @@ class NFoldEvaluator(MeasureEvaluator):
     For identical summands the n-fold subordination map collapses to the
     single fixed point w -> (z + (n-1) F(w)) / n, with F the reciprocal
     Cauchy transform of the dilated base; G_{nu}(z) = G_base(omega(z)).
-    For a semicircle or a base of at most two atoms the solver starts from
-    the closed-form fixed point and usually reports 0 iterations; the
-    residual is checked against ``RESIDUAL_ACCEPT`` either way.
+    The solver starts from a closed form: the fixed point itself for a
+    semicircle or a base of at most two atoms, which then report 0
+    iterations, and otherwise the fixed point for the two-atom law with the
+    base's first three moments, a few Newton steps from the root.  The
+    residual at the returned point is checked against ``RESIDUAL_ACCEPT``
+    either way.
     """
 
     def __init__(self, base: MeasureSpec, n: int, scale: float = 1.0):

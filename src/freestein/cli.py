@@ -159,9 +159,11 @@ def _cmd_nc(args) -> int:
         if args.p or args.q:
             p = _parse_partition(args.p, args.n) if args.p else ncpart.NcPartition.zero(args.n)
             q = _parse_partition(args.q, args.n) if args.q else ncpart.NcPartition.one(args.n)
-            if not ncpart.leq(p, q):
-                raise ConfigError(f"nc mobius needs --p <= --q, got {p} and {q}")
-            print(ncpart.mobius(p, q))
+            try:
+                mu = ncpart.mobius(p, q)
+            except ValueError as exc:
+                raise ConfigError(f"nc mobius --p/--q: {exc}") from exc
+            print(mu)
         else:
             p = ncpart.NcPartition.zero(args.n)
             q = ncpart.NcPartition.one(args.n)

@@ -27,7 +27,7 @@ from .analytic import (
     semicircle_density,
     stieltjes_density,
 )
-from .errors import ConfigError, ConvergenceError, FitRefusalError
+from .errors import ConfigError, ConvergenceError, FitRefusalError, MassRecoveryWarning
 
 CSV_HEADER = "n,d_kol,d_tv,d_w1,mass_deficit,subord_iters,runtime_ms"
 ALL_METRICS = ("kol", "tv", "w1")
@@ -246,19 +246,27 @@ def read_rows(path) -> list:
     ]
 
 
+def _distances(base: MeasureSpec, n: int, window, grid_points: int, metrics=ALL_METRICS):
+    """Distances from the n-fold law of D_{1/sqrt(n)} base to the semicircle
+    on one window grid, and the solver's peak iterations."""
+    ev = nfold_convolve(base, n, 1.0 / math.sqrt(n))
+    lo, hi = window if window else auto_window(base, n)
+    density = stieltjes_density(ev, lo, hi, grid_points)
+    reference = semicircle_density(lo, hi, grid_points)
+    return met.distance_report(density, reference, metrics), ev.peak_iterations
+
+
 def compute_row(cfg: ExperimentConfig, n: int) -> ExperimentRow:
     """Convolve, invert, and measure a single n (no file I/O)."""
     t0 = time.perf_counter()
-    scale = 1.0 / math.sqrt(n)
     try:
-        ev = nfold_convolve(cfg.base_measure, n, scale)
-        lo, hi = cfg.window if cfg.window else auto_window(cfg.base_measure, n)
+        # A mass deficit shows in the report's ``mass_deficit`` and a refused
+        # TV distance, so the density's warning is not repeated per row.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            density = stieltjes_density(ev, lo, hi, cfg.grid_points)
-        reference = semicircle_density(lo, hi, cfg.grid_points)
-        report = met.distance_report(density, reference, cfg.metrics)
-        iters = ev.peak_iterations
+            warnings.simplefilter("ignore", MassRecoveryWarning)
+            report, iters = _distances(
+                cfg.base_measure, n, cfg.window, cfg.grid_points, cfg.metrics
+            )
     except ConvergenceError:
         return ExperimentRow(
             n=n,
@@ -377,9 +385,4 @@ def discretization_floor(
     pipeline as a real experiment and measures the distances to the
     closed-form density on the same grid.
     """
-    base = MeasureSpec.semicircle(0.0, 1.0)
-    ev = nfold_convolve(base, n, 1.0 / math.sqrt(n))
-    lo, hi = window if window else auto_window(base, n)
-    density = stieltjes_density(ev, lo, hi, grid_points)
-    reference = semicircle_density(lo, hi, grid_points)
-    return met.distance_report(density, reference)
+    return _distances(MeasureSpec.semicircle(0.0, 1.0), n, window, grid_points)[0]

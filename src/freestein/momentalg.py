@@ -23,8 +23,10 @@ class MomentSequence:
     """Truncated moment vector (m_0, ..., m_N) of a compactly supported law.
 
     Construction enforces m_0 = 1, finite entries, and Hankel positive
-    semidefiniteness up to ``HANKEL_TOL`` (a necessary condition for a
-    genuine measure).  Immutable.
+    semidefiniteness (a necessary condition for a genuine measure): no
+    eigenvalue below -``HANKEL_TOL`` times the largest one, or times 1 if
+    that is smaller, since float rounding grows with the top moments.
+    Immutable.
     """
 
     __slots__ = ("values",)
@@ -42,7 +44,7 @@ class MomentSequence:
             k = (len(vals) - 1) // 2
             hank = np.array([[arr[i + j] for j in range(k + 1)] for i in range(k + 1)])
             lam = np.linalg.eigvalsh(hank)
-            if lam.min() < -HANKEL_TOL:
+            if lam.min() < -HANKEL_TOL * max(1.0, lam.max()):
                 raise ValueError(
                     f"Hankel matrix not positive semidefinite (min eig {lam.min():.3e})"
                 )

@@ -165,6 +165,16 @@ class TestResidualGate:
         ev.cauchy(1j)
         assert ev.peak_iterations == 9
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: an.nfold_convolve(BERN, 4, 0.5), lambda: an.PairConvolveEvaluator(BERN, SEMI)],
+        ids=["nfold", "pair"],
+    )
+    def test_rejects_nan_residual(self, solves, make):
+        solves.append((4, math.nan))
+        with pytest.raises(ConvergenceError):
+            make().cauchy(np.array([1j, 2j]))
+
 
 class TestNFold:
     def test_n1_is_identity(self):

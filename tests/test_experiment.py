@@ -2,12 +2,13 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
 from freestein import experiment as ex
 from freestein.analytic import MeasureSpec
-from freestein.errors import ConfigError, ConvergenceError, FitRefusalError
+from freestein.errors import ConfigError, ConvergenceError, FitRefusalError, MassRecoveryWarning
 
 BERN = MeasureSpec.atomic([(-1.0, 0.5), (1.0, 0.5)])
 
@@ -338,6 +339,18 @@ class TestFloor:
     def test_floor_is_small(self):
         rep = ex.discretization_floor(grid_points=1001)
         assert rep.d_w1 < 1e-3 and rep.d_kol < 1e-3
+
+    def test_mass_warning_is_silenced_only_per_row(self, tmp_path):
+        # a window that misses mass warns through the floor; an experiment row
+        # reports the deficit in its report instead
+        with pytest.warns(MassRecoveryWarning):
+            rep = ex.discretization_floor(grid_points=1001, window=(-1.0, 1.0))
+        assert rep.mass_deficit > 0.3
+        cfg = tiny_config(tmp_path, base_measure=MeasureSpec.semicircle(0, 1), window=(-1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MassRecoveryWarning)
+            row = ex.compute_row(cfg, 4)
+        assert row.report.mass_deficit > 0.3
 
     def test_semicircle_base_never_yields_a_slope(self, tmp_path):
         # every distance of the semicircle base sits at the floor, so the

@@ -105,6 +105,16 @@ class TestMomentSequenceValidation:
     def test_genuine_measure_accepted(self):
         MomentSequence((1, 0, 1, 0, 2, 0, 5))
 
+    @pytest.mark.parametrize(
+        "atoms",
+        [{0: Fraction(1, 2), 4: Fraction(1, 2)}, {-2: Fraction(1, 3), 0: Fraction(1, 3), 5: Fraction(1, 3)}],
+        ids=["two-atom", "three-atom"],
+    )
+    def test_exact_moments_of_wide_laws_accepted(self, atoms):
+        # m_12 is 8e6 and 8e7, so float rounding in the Hankel eigenvalues
+        # exceeds an absolute tolerance
+        MomentSequence([sum(w * Fraction(p) ** j for p, w in atoms.items()) for j in range(13)])
+
 
 class TestTransforms:
     def test_semicircle_cumulants_exact(self):
