@@ -24,6 +24,8 @@ from .errors import ConvergenceError, MassRecoveryWarning
 EPS_LADDER = (4e-3, 2e-3, 1e-3)
 # Lagrange weights for quadratic extrapolation of the ladder to eps = 0
 _LADDER_W = (1.0 / 3.0, -2.0, 8.0 / 3.0)
+# names the density method in result side-cars; change it when the method changes
+DENSITY_METHOD = "stieltjes-eps-ladder"
 MASS_WARN_BAND = (0.97, 1.03)
 RESIDUAL_ACCEPT = 1e-9
 MIN_GRID_POINTS = 64

@@ -197,9 +197,10 @@ def _cmd_berry_esseen(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    _require(args, "floor", 0.0, sys.float_info.max)
+    _require(args, "min_n", 0)
     points = ex.load_distance_column(args.csv, args.metric)
-    if args.min_n:
-        points = [(n, d) for n, d in points if n >= args.min_n]
+    points = [(n, d) for n, d in points if n >= args.min_n]
     fit = ex.fit_rate(points, metric=args.metric, floor=args.floor)
     print(fit.to_json())
     return 0

@@ -20,7 +20,3 @@ class ConfigError(ValueError):
 
 class MassRecoveryWarning(UserWarning):
     """Recovered density mass is far from 1 (atoms, or window too small)."""
-
-
-class TailTruncationWarning(UserWarning):
-    """A semigroup integrand has not decayed below tolerance at the cutoff."""

@@ -4,7 +4,8 @@ For a standardized base measure mu the harness forms
 nu_n = (D_{1/sqrt(n)} mu)^{boxplus n}, recovers its density, measures
 Kolmogorov / total-variation / W1 distances to the standard semicircle,
 and fits log-log slopes.  Rows stream to CSV as they complete, so an
-interrupted run resumes without recomputing finished n values.
+interrupted run resumes without recomputing finished n values; a JSON
+side-car next to the CSV records the configuration its rows came from.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ import numbers
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from . import __version__
 from . import metrics as met
 from .analytic import (
+    DENSITY_METHOD,
     MIN_GRID_POINTS,
     GridDensity,
     MeasureSpec,
@@ -155,20 +158,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
     """ExperimentConfig from a JSON document; unknown keys rejected."""
     allowed = {"base_measure", "n_values", "metrics", "grid", "output", "normalize"}
     _require_keys(obj, allowed, optional={"n_values", "metrics", "grid", "normalize"})
-    kwargs = {"base_measure": parse_measure(obj["base_measure"]), "output": obj["output"]}
-    if "n_values" in obj:
-        kwargs["n_values"] = obj["n_values"]
-    if "metrics" in obj:
-        kwargs["metrics"] = obj["metrics"]
-    if "grid" in obj:
-        grid = obj["grid"]
-        _require_keys(grid, {"window", "n_points"}, optional={"window", "n_points"})
-        if "n_points" in grid:
-            kwargs["grid_points"] = grid["n_points"]
-        if "window" in grid:
-            kwargs["window"] = grid["window"]
-    if "normalize" in obj:
-        kwargs["normalize"] = obj["normalize"]
+    kwargs = {"base_measure": parse_measure(obj["base_measure"])}
+    kwargs.update((k, obj[k]) for k in ("n_values", "metrics", "output", "normalize") if k in obj)
+    grid = obj.get("grid", {})
+    _require_keys(grid, {"window", "n_points"}, optional={"window", "n_points"})
+    if "n_points" in grid:
+        kwargs["grid_points"] = grid["n_points"]
+    if "window" in grid:
+        kwargs["window"] = grid["window"]
     return ExperimentConfig(**kwargs)
 
 
@@ -194,20 +191,12 @@ def _format_row(row: ExperimentRow, wanted) -> str:
     def fmt(v):
         return "" if v is None else f"{v:.17g}"
 
-    if row.failed:
-        cells = [str(row.n), "", "", "", "", "-1", f"{row.runtime_ms:.17g}"]
-    else:
-        rep = row.report
-        cells = [
-            str(row.n),
-            fmt(rep.d_kol if "kol" in wanted else None),
-            fmt(rep.d_tv if "tv" in wanted else None),
-            fmt(rep.d_w1 if "w1" in wanted else None),
-            fmt(rep.mass_deficit),
-            str(row.subord_iters),
-            f"{row.runtime_ms:.17g}",
-        ]
-    return ",".join(cells)
+    rep = row.report
+    cells = ["", "", "", ""]
+    if rep is not None:
+        dists = [getattr(rep, "d_" + m) if m in wanted else None for m in ALL_METRICS]
+        cells = [fmt(v) for v in (*dists, rep.mass_deficit)]
+    return ",".join([str(row.n), *cells, str(row.subord_iters), f"{row.runtime_ms:.17g}"])
 
 
 def _decode_row(path, lineno: int, line: str) -> ExperimentRow:
@@ -259,6 +248,7 @@ def _distances(base: MeasureSpec, n: int, window, grid_points: int, metrics=ALL_
 def compute_row(cfg: ExperimentConfig, n: int) -> ExperimentRow:
     """Convolve, invert, and measure a single n (no file I/O)."""
     t0 = time.perf_counter()
+    report, iters = None, -1
     try:
         # A mass deficit shows in the report's ``mass_deficit`` and a refused
         # TV distance, so the density's warning is not repeated per row.
@@ -268,26 +258,48 @@ def compute_row(cfg: ExperimentConfig, n: int) -> ExperimentRow:
                 cfg.base_measure, n, cfg.window, cfg.grid_points, cfg.metrics
             )
     except ConvergenceError:
-        return ExperimentRow(
-            n=n,
-            report=None,
-            subord_iters=-1,
-            runtime_ms=(time.perf_counter() - t0) * 1e3,
-        )
-    return ExperimentRow(
-        n=n,
-        report=report,
-        subord_iters=iters,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
+        pass
+    return ExperimentRow(n, report, iters, (time.perf_counter() - t0) * 1e3)
+
+
+def _replace(path: Path, text: str) -> None:
+    """Replace the file at ``path`` by ``text`` in one step, through a temp file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 def _write_rows(path: Path, lines: dict) -> None:
     """Replace the CSV with the header and the non-empty ``lines`` in one step."""
-    tmp = path.with_name(path.name + ".tmp")
     rows = [line for line in lines.values() if line is not None]
-    tmp.write_text("".join(line + "\n" for line in (CSV_HEADER, *rows)))
-    os.replace(tmp, path)
+    _replace(path, "".join(line + "\n" for line in (CSV_HEADER, *rows)))
+
+
+def fingerprint(cfg: ExperimentConfig) -> str:
+    """Canonical JSON of what decides a row's cells: all of ``cfg`` but the n
+    values and the output path, the package version and the methods."""
+    mu, g = cfg.base_measure, cfg.base_measure.grid
+    if mu.kind == "atomic":
+        base = {"atoms": mu.atoms}
+    elif mu.kind == "semicircle":
+        base = {"mean": mu.mean, "variance": mu.variance}
+    else:
+        import hashlib  # loads OpenSSL, about 3.6 MB of RSS: only grid bases need it
+
+        sha = hashlib.sha256(g.values).hexdigest()
+        base = {"lo": g.lo, "hi": g.hi, "points": g.n_points, "sha256": sha}
+    return json.dumps(
+        {
+            "base": {"type": mu.kind, **base},
+            "grid_points": cfg.grid_points,
+            "window": cfg.window,
+            "metrics": sorted(set(cfg.metrics)),
+            "normalize": cfg.normalize,
+            "version": __version__,
+            "methods": [DENSITY_METHOD, met.DISTANCE_METHOD],
+        },
+        sort_keys=True,
+    )
 
 
 def run_experiment(cfg: ExperimentConfig) -> list:
@@ -298,11 +310,23 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     is first replaced by its completed rows in n order, and again after
     every computed row, each time through a temp file, so an interrupted
     run never loses a completed row.  Only configured rows are returned.
+
+    The side-car ``<output>.meta.json`` holds :func:`fingerprint`.  It is
+    written, atomically, before the CSV when the CSV holds no rows yet;
+    rows with no side-car, or with one that differs, raise
+    :class:`ConfigError` before either file is touched.
     """
     path = Path(cfg.output)
-    done = {}
-    if path.exists() and path.stat().st_size:
-        done = {row.n: row for row in read_rows(path) if not row.failed}
+    meta = path.with_name(path.name + ".meta.json")
+    stamp = fingerprint(cfg)
+    found = read_rows(path) if path.exists() and path.stat().st_size else []
+    if not found:
+        _replace(meta, stamp)
+    elif not meta.is_file():
+        raise ConfigError(f"{path} holds rows but no {meta.name} says what made them")
+    elif meta.read_bytes() != stamp.encode():
+        raise ConfigError(f"{path} holds rows of another configuration (see {meta.name})")
+    done = {row.n: row for row in found if not row.failed}
     ns = sorted(set(done) | set(cfg.n_values))
     lines = {n: done[n].line if n in done else None for n in ns}
     _write_rows(path, lines)
@@ -328,15 +352,7 @@ class RateFit:
     points: list
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "metric": self.metric,
-                "slope": self.slope,
-                "intercept": self.intercept,
-                "r_squared": self.r_squared,
-                "points": [[n, d] for n, d in self.points],
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def fit_rate(points, metric: str = "", floor: float = 0.0) -> RateFit:
@@ -377,12 +393,12 @@ def load_distance_column(path, metric: str) -> list:
 
 
 def discretization_floor(
-    grid_points: int = DEFAULT_GRID_POINTS, window: tuple | None = None, n: int = 16
+    grid_points: int = DEFAULT_GRID_POINTS, window: tuple | None = None
 ) -> met.DistanceReport:
     """Pipeline self-distance of the semicircle base (the noise floor).
 
-    Runs the standard semicircle through the same convolve-and-invert
-    pipeline as a real experiment and measures the distances to the
-    closed-form density on the same grid.
+    Runs the 16-fold convolution of the standard semicircle through the
+    same convolve-and-invert pipeline as a real experiment and measures the
+    distances to the closed-form density on the same grid.
     """
-    return _distances(MeasureSpec.semicircle(0.0, 1.0), n, window, grid_points)[0]
+    return _distances(MeasureSpec.semicircle(0.0, 1.0), 16, window, grid_points)[0]

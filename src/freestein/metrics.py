@@ -9,13 +9,15 @@ bound through which the non-commutative distance is controlled.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .analytic import GridDensity
 
 TV_DEFICIT_LIMIT = 1e-3
+# names the distance method in result side-cars; change it when the method changes
+DISTANCE_METHOD = "grid-trapezoid"
 
 
 @dataclass
@@ -28,14 +30,7 @@ class DistanceReport:
     mass_deficit: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "d_kol": self.d_kol,
-                "d_tv": self.d_tv,
-                "d_w1": self.d_w1,
-                "mass_deficit": self.mass_deficit,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _union_grid(a: GridDensity, b: GridDensity):

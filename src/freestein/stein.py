@@ -7,22 +7,22 @@ x^r is the complete homogeneous sum), which is how everything here is
 evaluated: no grids, no diagonal issues.
 
 The dual Stein equation is solved by integrating the pairing along the
-semicircular Ornstein-Uhlenbeck flow, whose action on free cumulants is
-explicit: kappa_j -> e^{-j theta} kappa_j for j != 2 and
-kappa_2 -> e^{-2 theta} kappa_2 + 1 - e^{-2 theta}.
+whole semicircular Ornstein-Uhlenbeck flow, whose action on free
+cumulants is explicit: with u = e^{-theta}, kappa_j -> u^j kappa_j for
+j != 2 and kappa_2 -> u^2 kappa_2 + 1 - u^2.  On u in [0, 1] the
+integrand divided by u is a polynomial, so one Gauss rule integrates it
+exactly.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .analytic import MeasureSpec
-from .errors import TailTruncationWarning
 from .momentalg import (
     FreeCumulantSequence,
     MomentSequence,
@@ -32,7 +32,6 @@ from .momentalg import (
 
 _DIAG_CUTOFF = 1e-8
 _DIAG_STEP = 1e-5
-TAIL_TOL = 1e-10
 MAX_THETA_STEP = 1e-3
 
 #: Fixed measures used by consistency checks and the acceptance suite:
@@ -144,42 +143,26 @@ def _gauss_legendre(n_nodes: int) -> tuple:
     return tuple(nodes.tolist()), tuple(wts.tolist())
 
 
-def dual_stein_pairing(mu: MeasureSpec, h, theta_max: float = 40.0) -> float:
+def dual_stein_pairing(mu: MeasureSpec, h) -> float:
     """Integral over theta of <P_theta mu (x) P_theta mu, L[Dh]>.
 
     Solves the dual Stein equation: the result equals <s, h> - <mu, h>.
-    Under u = e^{-theta} the moments of P_theta mu are polynomials in u of
-    degree at most their order, and the integrand vanishes at u = 0 (the
-    semicircle is the fixed point).  So integrand/u is a polynomial of
-    degree below deg h, and Gauss-Legendre with deg//2 + 2 nodes on
-    [e^{-theta_max}, 1] integrates it exactly.  A warning is raised if the
-    integrand has not decayed below 1e-10 at theta_max.
+    Under u = e^{-theta} the whole flow, from mu (u = 1) to the semicircle
+    (u = 0), is the interval [0, 1].  The moments of P_theta mu are
+    polynomials in u of degree at most their order, and the integrand
+    vanishes at u = 0 (the semicircle is the fixed point), so integrand/u
+    is a polynomial of degree below deg h.  Gauss-Legendre with
+    deg//2 + 2 nodes on [0, 1] integrates it exactly.
     """
     coeffs = tuple(float(c) for c in h)
     deg = len(coeffs) - 1
     if deg > 8:
         raise ValueError("test polynomials capped at degree 8")
-    if theta_max < 20:
-        raise ValueError("theta_max must be >= 20")
-    order = max(deg, 2)
-    kappa = moments_to_cumulants(mu.moments(order))
-
-    def integrand(theta: float) -> float:
-        # generator_apply(m, p) is <nu (x) nu, L[D x^p]>, and the pairing is linear in h
-        m_theta = cumulants_to_moments(evolve_cumulants(kappa, theta))
-        return sum(c * generator_apply(m_theta, p) for p, c in enumerate(coeffs) if p and c)
-
-    tail = abs(integrand(theta_max))
-    if tail > TAIL_TOL:
-        warnings.warn(
-            f"integrand {tail:.2e} at theta_max={theta_max}; tail truncated",
-            TailTruncationWarning,
-            stacklevel=2,
-        )
-
-    u0 = math.exp(-theta_max)
+    kappa = moments_to_cumulants(mu.moments(max(deg, 2)))
     total = 0.0
     for xi, wi in zip(*_gauss_legendre(deg // 2 + 2)):
-        ui = 0.5 * (xi + 1.0) * (1.0 - u0) + u0
-        total += wi * integrand(-math.log(ui)) / ui
-    return total * 0.5 * (1.0 - u0)
+        u = 0.5 * (xi + 1.0)
+        # generator_apply(m, p) is <nu (x) nu, L[D x^p]>, and the pairing is linear in h
+        m_u = cumulants_to_moments(evolve_cumulants(kappa, -math.log(u)))
+        total += wi * sum(c * generator_apply(m_u, p) for p, c in enumerate(coeffs) if p and c) / u
+    return 0.5 * total

@@ -268,6 +268,29 @@ class TestBerryEsseenAndFit:
     def test_floor_refusal_exit_code(self, small_run):
         assert run(["fit", "--csv", str(small_run), "--metric", "w1", "--floor", "1"]) == 4
 
+    @pytest.mark.parametrize(
+        "arg",
+        ["--floor=nan", "--floor=inf", "--floor=-1e-3", "--min-n=-1"],
+        ids=["floor-nan", "floor-inf", "floor-negative", "min-n-negative"],
+    )
+    def test_bad_fit_numbers_exit_2_before_output(self, small_run, arg, capsys):
+        capsys.readouterr()
+        assert run(["fit", "--csv", str(small_run), "--metric", "w1", arg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and arg.split("=")[0] in captured.err
+
+    def test_rerun_with_another_law_exits_2_and_leaves_both_files(self, small_run, capsys):
+        meta = small_run.with_name(small_run.name + ".meta.json")
+        before = small_run.read_bytes(), meta.read_bytes()
+        cfg = {"base_measure": json.loads(ASYM_JSON), "n_values": [4, 8], "output": str(small_run)}
+        capsys.readouterr()
+        assert run(["berry-esseen", "--config", json.dumps(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "another configuration" in captured.err
+        assert (small_run.read_bytes(), meta.read_bytes()) == before
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"output": "x.csv", "extra": 1}))

@@ -4,10 +4,11 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from freestein import experiment as ex
-from freestein.analytic import MeasureSpec
+from freestein.analytic import GridDensity, MeasureSpec
 from freestein.errors import ConfigError, ConvergenceError, FitRefusalError, MassRecoveryWarning
 
 BERN = MeasureSpec.atomic([(-1.0, 0.5), (1.0, 0.5)])
@@ -211,6 +212,76 @@ class TestRunExperiment:
             ex.run_experiment(tiny_config(tmp_path))
         assert path.read_text() == foreign
         assert not (tmp_path / "out.csv.tmp").exists()
+
+    @pytest.mark.parametrize(
+        "over",
+        [
+            dict(base_measure=MeasureSpec.atomic([(2.0, 0.2), (-0.5, 0.8)]), metrics=("w1",)),
+            dict(metrics=("w1",)),
+            dict(grid_points=601),
+            dict(window=(-3.0, 3.0)),
+            # standardizes to the same law: only the flag differs
+            dict(base_measure=MeasureSpec.atomic([(-2.0, 0.5), (2.0, 0.5)]), normalize=True),
+        ],
+        ids=["other-law", "metrics", "grid-points", "window", "normalize"],
+    )
+    def test_rows_of_another_configuration_are_refused(self, tmp_path, monkeypatch, over):
+        # without the side-car a rerun with another law returned the old law's rows
+        ex.run_experiment(tiny_config(tmp_path, n_values=(8, 16)))
+        path, meta = tmp_path / "out.csv", tmp_path / "out.csv.meta.json"
+        before = path.read_bytes(), meta.read_bytes()
+
+        def no_compute(cfg_, n_):
+            raise AssertionError(f"row {n_} computed")
+
+        monkeypatch.setattr(ex, "compute_row", no_compute)
+        with pytest.raises(ConfigError, match="another configuration"):
+            ex.run_experiment(tiny_config(tmp_path, n_values=(8, 16), **over))
+        assert (path.read_bytes(), meta.read_bytes()) == before
+        assert not (tmp_path / "out.csv.tmp").exists()
+        assert not (tmp_path / "out.csv.meta.json.tmp").exists()
+
+    def test_side_car_holds_the_configuration_not_the_n_values(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        ex.run_experiment(cfg)
+        stamp = (tmp_path / "out.csv.meta.json").read_text()
+        assert stamp == ex.fingerprint(cfg)
+        data = json.loads(stamp)
+        assert data["base"] == {"type": "atomic", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}
+        assert (data["grid_points"], data["window"]) == (501, None)
+        assert data["metrics"] == ["kol", "tv", "w1"]
+        assert ex.fingerprint(tiny_config(tmp_path, n_values=(2, 3, 4096))) == stamp
+        assert ex.fingerprint(tiny_config(tmp_path, metrics=("w1", "kol", "tv"))) == stamp
+
+    def test_grid_bases_differ_by_their_values(self, tmp_path):
+        xs = np.linspace(-2.0, 2.0, 401)
+        semi = np.sqrt(np.clip(4 - xs * xs, 0, None)) / (2 * math.pi)
+        prints = set()
+        for bump in (0.0, 0.05):
+            vals = semi * (1 + bump * xs * xs)
+            grid = GridDensity(-2.0, 2.0, vals / np.trapezoid(vals, xs))
+            cfg = tiny_config(tmp_path, base_measure=MeasureSpec.from_grid(grid), normalize=True)
+            prints.add(ex.fingerprint(cfg))
+        assert len(prints) == 2
+
+    def test_rows_without_a_side_car_are_refused(self, tmp_path, monkeypatch):
+        ex.run_experiment(tiny_config(tmp_path))
+        path = tmp_path / "out.csv"
+        (tmp_path / "out.csv.meta.json").unlink()
+        before = path.read_bytes()
+        monkeypatch.setattr(ex, "compute_row", None)
+        with pytest.raises(ConfigError, match="no out.csv.meta.json"):
+            ex.run_experiment(tiny_config(tmp_path))
+        assert path.read_bytes() == before
+        assert not (tmp_path / "out.csv.meta.json").exists()
+
+    def test_a_side_car_without_rows_is_replaced(self, tmp_path):
+        meta = tmp_path / "out.csv.meta.json"
+        meta.write_text("{}")
+        (tmp_path / "out.csv").write_text(ex.CSV_HEADER + "\n")
+        cfg = tiny_config(tmp_path)
+        assert [n for n, _ in ex.run_experiment(cfg)] == [4, 8]
+        assert meta.read_text() == ex.fingerprint(cfg)
 
     def test_determinism_modulo_runtime(self, tmp_path):
         cfg1 = tiny_config(tmp_path, output=str(tmp_path / "a.csv"))

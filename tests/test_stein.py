@@ -9,7 +9,6 @@ import pytest
 from freestein import momentalg as ma
 from freestein import stein
 from freestein.analytic import MeasureSpec
-from freestein.errors import TailTruncationWarning
 from freestein.momentalg import MomentSequence
 from freestein.stein import MEASURE_BATTERY
 
@@ -212,19 +211,13 @@ class TestDualSteinPairing:
             rhs = a * stein.dual_stein_pairing(mu, h1) + b * stein.dual_stein_pairing(mu, h2)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    def test_tail_warning_on_short_horizon(self):
-        # a non-centered law decays like e^{-theta}; at theta_max = 20 the
-        # integrand is ~6e-10, above the 1e-10 tail tolerance
-        mu = MeasureSpec.semicircle(-0.3, 0.49)
-        with pytest.warns(TailTruncationWarning):
-            stein.dual_stein_pairing(mu, (0, 1), theta_max=20.0)
-
     def test_parameter_guards(self):
         mu = MEASURE_BATTERY[0]
         with pytest.raises(ValueError):
             stein.dual_stein_pairing(mu, [0] * 9 + [1])
-        with pytest.raises(ValueError):
-            stein.dual_stein_pairing(mu, (0, 1), theta_max=10.0)
+        # the rule covers the whole flow u = e^{-theta} in [0, 1]: no horizon to set
+        with pytest.raises(TypeError):
+            stein.dual_stein_pairing(mu, (0, 1), theta_max=40.0)
 
 
 class TestEvolveCumulants:
