@@ -42,17 +42,17 @@ def cauchy_vals(z, kind, c0, c1, xs, ys):
     return (1.0 / (z[:, None] - xs)) @ ys
 
 
-def _f_df_vec(kind, c0, c1, xs, ys, w):
-    """Reciprocal Cauchy transform F = 1/G and its derivative at w."""
+def _f_df_vec(kind, c0, c1, xs, ys, w, deriv=True):
+    """Reciprocal Cauchy transform F = 1/G at w, and F' there (0.0 unless ``deriv``)."""
     if kind == 1:
         u = w - c0
         edge = 2.0 * math.sqrt(c1)
         s = np.sqrt(u - edge) * np.sqrt(u + edge)
-        return 0.5 * (u + s), 0.5 * (1.0 + u / s)
+        return 0.5 * (u + s), 0.5 * (1.0 + u / s) if deriv else 0.0
     r = 1.0 / (w[:, None] - xs)
     g = r @ ys
     # F' = -G'/G^2 with G' = -sum ys r^2
-    return 1.0 / g, ((r * r) @ ys) / (g * g)
+    return 1.0 / g, ((r * r) @ ys) / (g * g) if deriv else 0.0
 
 
 def _nfold_seed(z, kind, c0, c1, xs, ys, nfold):
@@ -86,7 +86,8 @@ def _nfold_seed(z, kind, c0, c1, xs, ys, nfold):
 def _solve(z, w0, phi):
     """Newton's method on w = Phi(w) per point from w0; returns (w, iters, resid).
 
-    ``phi(z, w)`` returns Phi(w) and Phi'(w) for the given points.  Each
+    ``phi(z, w, deriv)`` returns Phi(w) and Phi'(w) for the given points,
+    or Phi(w) and a throw-away constant when ``deriv`` is false.  Each
     pass evaluates them once per active point and steps to
     w - (Phi(w) - w) / (Phi'(w) - 1), or to Phi(w) when that is not finite
     or not in the upper half plane.  A point settles when
@@ -94,8 +95,8 @@ def _solve(z, w0, phi):
     Newton can fall into a cycle near the real axis, so a point still
     active after ``RESTART_AT`` passes restarts once at w + i (1 + |w|),
     high in the upper half plane, where Phi is nearly affine.  ``resid``
-    is |Phi(w) - w| at the returned w, one more evaluation per point, so
-    a settled point is judged where it lands.
+    is |Phi(w) - w| at the returned w, one more evaluation of Phi alone
+    per point, so a settled point is judged where it lands.
     """
     w = np.array(w0, dtype=np.complex128)
     iters = np.zeros(len(z), dtype=np.int64)
@@ -106,21 +107,21 @@ def _solve(z, w0, phi):
         if it == RESTART_AT:
             w[active] += 1j * (1.0 + np.abs(w[active]))
         wa = w[active]
-        mapped, dmapped = phi(z[active], wa)
+        mapped, dmapped = phi(z[active], wa, deriv=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = wa - (mapped - wa) / (dmapped - 1.0)
         w[active] = np.where(np.isfinite(newton) & (newton.imag > 0.0), newton, mapped)
         settled = np.abs(mapped - wa) < TOL * (1.0 + np.abs(wa))
         iters[active] += ~settled
         active[active] = ~settled
-    return w, iters, np.abs(phi(z, w)[0] - w)
+    return w, iters, np.abs(phi(z, w, deriv=False)[0] - w)
 
 
 def nfold_omega(z, kind, c0, c1, xs, ys, nfold):
     """Solve n*w - (n-1) F(w) = z per point; returns (omega, iters, resid)."""
 
-    def phi(zs, w):
-        f, df = _f_df_vec(kind, c0, c1, xs, ys, w)
+    def phi(zs, w, deriv):
+        f, df = _f_df_vec(kind, c0, c1, xs, ys, w, deriv)
         return (zs + (nfold - 1.0) * f) / nfold, (nfold - 1.0) / nfold * df
 
     w0 = _nfold_seed(z, kind, c0, c1, xs, ys, nfold)
@@ -134,12 +135,12 @@ def pair_omega(z, ka, a0, a1, axs, ays, kb, b0, b1, bxs, bys):
     omega2 = z + h_a(omega1) feeds G_b.
     """
 
-    def phi(zs, w):
-        fa, dfa = _f_df_vec(ka, a0, a1, axs, ays, w)
+    def phi(zs, w, deriv):
+        fa, dfa = _f_df_vec(ka, a0, a1, axs, ays, w, deriv)
         inner = zs + fa - w
-        fb, dfb = _f_df_vec(kb, b0, b1, bxs, bys, inner)
+        fb, dfb = _f_df_vec(kb, b0, b1, bxs, bys, inner, deriv)
         return zs + fb - inner, (dfb - 1.0) * (dfa - 1.0)
 
     w, iters, resid = _solve(z, z, phi)
-    inner = z + _f_df_vec(ka, a0, a1, axs, ays, w)[0] - w
+    inner = z + _f_df_vec(ka, a0, a1, axs, ays, w, deriv=False)[0] - w
     return w, inner, iters, resid

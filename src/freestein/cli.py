@@ -10,6 +10,7 @@ CSV.  Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -206,7 +207,13 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after.
+
+    Parsing keeps no state in the parser, so one tree serves every
+    :func:`main` call of a process.
+    """
     ap = argparse.ArgumentParser(
         prog="freestein",
         description="Free-probability Stein machinery and Berry-Esseen rate experiments.",

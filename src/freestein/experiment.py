@@ -313,11 +313,14 @@ def run_experiment(cfg: ExperimentConfig) -> list:
 
     The side-car ``<output>.meta.json`` holds :func:`fingerprint`.  It is
     written, atomically, before the CSV when the CSV holds no rows yet;
-    rows with no side-car, or with one that differs, raise
-    :class:`ConfigError` before either file is touched.
+    rows with no side-car, or with one that differs, and a side-car path
+    that is a directory raise :class:`ConfigError` before either file is
+    touched.
     """
     path = Path(cfg.output)
     meta = path.with_name(path.name + ".meta.json")
+    if meta.is_dir():
+        raise ConfigError(f"side-car {str(meta)!r} is a directory")
     stamp = fingerprint(cfg)
     found = read_rows(path) if path.exists() and path.stat().st_size else []
     if not found:

@@ -10,8 +10,10 @@ The dual Stein equation is solved by integrating the pairing along the
 whole semicircular Ornstein-Uhlenbeck flow, whose action on free
 cumulants is explicit: with u = e^{-theta}, kappa_j -> u^j kappa_j for
 j != 2 and kappa_2 -> u^2 kappa_2 + 1 - u^2.  On u in [0, 1] the
-integrand divided by u is a polynomial, so one Gauss rule integrates it
-exactly.
+integrand divided by u is a polynomial, so one Gauss-Legendre rule
+integrates it exactly.  The rule comes from Golub-Welsch (the eigenvalues
+and eigenvectors of the Legendre Jacobi matrix), so no polynomial module
+is loaded.
 """
 
 from __future__ import annotations
@@ -129,6 +131,8 @@ def generator_finite_difference(mu: MeasureSpec, p: int, theta_step: float) -> f
     error is the O(theta_step) finite-difference bias against
     :func:`generator_apply`.
     """
+    if p < 1:
+        raise ValueError("power must be >= 1")
     if not 0 < theta_step <= MAX_THETA_STEP:
         raise ValueError(f"theta_step must lie in (0, {MAX_THETA_STEP:g}]")
     m0 = mu.moments(max(p, 2))
@@ -138,9 +142,16 @@ def generator_finite_difference(mu: MeasureSpec, p: int, theta_step: float) -> f
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n_nodes: int) -> tuple:
-    """Gauss-Legendre nodes and weights on [-1, 1], as tuples of floats."""
-    nodes, wts = np.polynomial.legendre.leggauss(n_nodes)
-    return tuple(nodes.tolist()), tuple(wts.tolist())
+    """Gauss-Legendre nodes and weights on [-1, 1], as tuples of floats.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Legendre recurrence, zero diagonal and off-diagonal k / sqrt(4k^2 - 1)
+    for k = 1..n-1, and the weights are 2 v_0^2, with v_0 the first
+    component of each unit eigenvector (2 is the mass of dx on [-1, 1]).
+    """
+    k = np.arange(1.0, n_nodes)
+    nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    return tuple(nodes.tolist()), tuple((2.0 * vecs[0] ** 2).tolist())
 
 
 def dual_stein_pairing(mu: MeasureSpec, h) -> float:

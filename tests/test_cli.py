@@ -1,6 +1,10 @@
 """CLI surface: subcommands, JSON/CSV contracts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +16,46 @@ BERN_JSON = '{"type":"atomic","atoms":[[1.0,0.5],[-1.0,0.5]]}'
 ASYM_JSON = '{"type":"atomic","atoms":[[2.0,0.2],[-0.5,0.8]]}'
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run(argv):
     return cli.main(argv)
+
+
+def run_fresh(argv):
+    """``python -m freestein.cli <argv>`` in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-m", "freestein.cli", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_shared_parser_prints_what_fresh_processes_print(self, capsys):
+        # one process: a refusal by argparse, then two valid commands on the same parser
+        commands = [
+            ["stein-check", "--measure", BERN_JSON, "--order", "6"],
+            ["nc", "count", "-n", "7"],
+        ]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(["no-such-command"])
+        assert exc.value.code == 2
+        refusal = capsys.readouterr()
+        fresh = run_fresh(["no-such-command"])
+        assert fresh.returncode == 2
+        assert (refusal.out, refusal.err) == (fresh.stdout, fresh.stderr)
+        for argv in commands:
+            assert run(argv) == 0
+            captured = capsys.readouterr()
+            fresh = run_fresh(argv)
+            assert fresh.returncode == 0
+            assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
 
 
 class TestMoments:
@@ -290,6 +332,16 @@ class TestBerryEsseenAndFit:
         assert captured.out == ""
         assert "another configuration" in captured.err
         assert (small_run.read_bytes(), meta.read_bytes()) == before
+
+    def test_side_car_that_is_a_directory_exits_2_before_output(self, tmp_path, capsys):
+        out = tmp_path / "rates.csv"
+        (tmp_path / "rates.csv.meta.json").mkdir()
+        cfg = {"base_measure": json.loads(BERN_JSON), "n_values": [4, 8], "output": str(out)}
+        assert run(["berry-esseen", "--config", json.dumps(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and "rates.csv.meta.json" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rates.csv.meta.json"]
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -5,10 +5,15 @@ is used there; ``__init__.py`` is skipped, since its imports are
 re-exports, and so are ``__future__`` imports.  Every private top-level
 name (one leading underscore) of a module is referenced somewhere in the
 package beyond its definition, so that helpers whose last caller went
-do not linger as test-only code.
+do not linger as test-only code.  The exact stack's command line loads
+no module it does not need: ``numpy.polynomial`` (a few milliseconds) is
+not imported by ``stein-check``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +90,29 @@ def test_private_checker_sees_defined_and_referenced_names():
     assert private_definitions(source) == [(1, "_A"), (2, "_B"), (4, "_f"), (6, "_C")]
     refs = references(source)
     assert {"_A", "_f"} <= refs and not {"_B", "_C", "_tmp", "__all__"} & refs
+
+
+def imported_modules(*args) -> set:
+    """Modules a new interpreter imports while running ``python -X importtime <args>``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    # every import is logged to stderr as "import time: self | cumulative | name"
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+def test_stein_check_does_not_import_numpy_polynomial():
+    bern = '{"type":"atomic","atoms":[[1.0,0.5],[-1.0,0.5]]}'
+    modules = imported_modules("-m", "freestein.cli", "stein-check", "--measure", bern)
+    assert "freestein.stein" in modules
+    assert not {m for m in modules if m.startswith("numpy.polynomial")}
+
+
+def test_import_log_sees_numpy_polynomial():
+    assert "numpy.polynomial" in imported_modules("-c", "import numpy.polynomial")

@@ -155,6 +155,12 @@ class TestGeneratorConsistency:
         with pytest.raises(ValueError):
             stein.generator_finite_difference(MEASURE_BATTERY[0], 2, 1e-2)
 
+    @pytest.mark.parametrize("p", [0, -1, -3])
+    def test_power_below_one_rejected(self, p):
+        # negative powers used to index the moment tuple from its end
+        with pytest.raises(ValueError, match="power"):
+            stein.generator_finite_difference(MEASURE_BATTERY[1], p, 1e-5)
+
 
 def semicircle_expectation(coeffs):
     s = ma.semicircle_moments(max(len(coeffs) - 1, 2))
@@ -198,6 +204,13 @@ class TestDualSteinPairing:
                 lhs = stein.dual_stein_pairing(mu, coeffs)
                 rhs = semicircle_expectation(coeffs) - measure_expectation(mu, coeffs)
                 assert abs(lhs - rhs) <= 1e-12, (p, mu)
+
+    @pytest.mark.parametrize("n_nodes", range(1, 9))
+    def test_gauss_rule_matches_leggauss(self, n_nodes):
+        nodes, weights = stein._gauss_legendre(n_nodes)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(n_nodes)
+        assert np.abs(np.array(nodes) - want_nodes).max() <= 1e-15
+        assert np.abs(np.array(weights) - want_weights).max() <= 2e-15
 
     def test_bilinearity(self):
         rng = np.random.default_rng(77)
