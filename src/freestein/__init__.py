@@ -7,8 +7,9 @@ Subpackages by theme:
 * :mod:`freestein.analytic`   -- Cauchy transforms, subordination, densities
 * :mod:`freestein.stein`      -- Stein operator, semigroup, dual equation
 * :mod:`freestein.ncsymb`     -- word algebra and matrix oracle
-* :mod:`freestein.metrics`    -- Kolmogorov / TV / W1 distances
-* :mod:`freestein.experiment` -- Berry-Esseen rate harness (also the CLI)
+* :mod:`freestein.metrics`    -- Kolmogorov / TV / W1 distances on one grid
+* :mod:`freestein.experiment` -- Berry-Esseen rate harness
+* :mod:`freestein.cli`        -- the ``freestein`` command line
 """
 
 __version__ = "0.1.0"

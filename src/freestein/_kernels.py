@@ -35,10 +35,7 @@ RESTART_AT = 32
 def cauchy_vals(z, kind, c0, c1, xs, ys):
     """G(z) = integral of 1/(z - x) for one descriptor, Im z > 0."""
     if kind == 1:
-        u = z - c0
-        edge = 2.0 * math.sqrt(c1)
-        s = np.sqrt(u - edge) * np.sqrt(u + edge)
-        return 2.0 / (u + s)
+        return 1.0 / _f_df_vec(1, c0, c1, xs, ys, z, deriv=False)[0]
     return (1.0 / (z[:, None] - xs)) @ ys
 
 

@@ -35,17 +35,21 @@ class GridDensity:
     """Nonnegative density values on a uniform grid over [lo, hi].
 
     Values in [-1e-12, 0) are clamped to zero at construction; anything
-    more negative is rejected.  ``mass`` is the trapezoid integral.
+    more negative, and any non-finite value or window end, is rejected.
+    ``weights`` is the trapezoid rule on the grid, the one quadrature behind
+    ``mass``, the grid moments and kernels, and the grid distances.
     """
 
     __slots__ = ("lo", "hi", "values")
 
     def __init__(self, lo: float, hi: float, values):
-        if not hi > lo:
-            raise ValueError("need hi > lo")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"need finite lo < hi, got {lo} {hi}")
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or len(vals) < 2:
             raise ValueError("density values must be a 1-d array of length >= 2")
+        if not np.isfinite(vals).all():
+            raise ValueError("density values must be finite")
         if vals.min() < -1e-12:
             raise ValueError(f"density has negative values (min {vals.min():.3e})")
         vals = np.clip(vals, 0.0, None)
@@ -63,8 +67,15 @@ class GridDensity:
         return np.linspace(self.lo, self.hi, len(self.values))
 
     @property
+    def weights(self) -> np.ndarray:
+        """Trapezoid weights dx * [1/2, 1, ..., 1, 1/2] on the grid nodes."""
+        wts = np.full(len(self.values), (self.hi - self.lo) / (len(self.values) - 1))
+        wts[[0, -1]] *= 0.5
+        return wts
+
+    @property
     def mass(self) -> float:
-        return float(np.trapezoid(self.values, dx=(self.hi - self.lo) / (len(self.values) - 1)))
+        return float(self.weights @ self.values)
 
     @property
     def mass_deficit(self) -> float:
@@ -93,6 +104,8 @@ class GridDensity:
                 vs.append(float(b))
         if len(xs) < 2:
             raise ValueError(f"{path}: need at least 2 density rows, got {len(xs)}")
+        if not np.isfinite(xs).all():
+            raise ValueError(f"{path}: x column must be finite")
         gap = np.abs(np.array(xs) - np.linspace(xs[0], xs[-1], len(xs))).max()
         if gap > 1e-9 * abs(xs[-1] - xs[0]):
             raise ValueError(f"{path}: x column is not uniform (off by {gap:.3e})")
@@ -118,6 +131,8 @@ class MeasureSpec:
     @classmethod
     def atomic(cls, atoms) -> "MeasureSpec":
         pts = tuple((float(p), float(w)) for p, w in atoms)
+        if not np.isfinite(pts).all():
+            raise ValueError("atom positions and weights must be finite")
         if abs(sum(w for _, w in pts) - 1.0) > 1e-12:
             raise ValueError("atom weights must sum to 1")
         if any(w <= 0 for _, w in pts):
@@ -128,8 +143,8 @@ class MeasureSpec:
 
     @classmethod
     def semicircle(cls, mean: float = 0.0, variance: float = 1.0) -> "MeasureSpec":
-        if variance <= 0:
-            raise ValueError("semicircle variance must be positive")
+        if not (math.isfinite(mean) and 0 < variance < math.inf):
+            raise ValueError("semicircle needs a finite mean and a finite positive variance")
         return cls(kind="semicircle", mean=float(mean), variance=float(variance))
 
     @classmethod
@@ -138,17 +153,13 @@ class MeasureSpec:
             raise ValueError(f"grid density mass {grid.mass} is not 1 (within 1e-6)")
         return cls(kind="grid", grid=grid)
 
-    @classmethod
-    def point_mass(cls, c: float) -> "MeasureSpec":
-        return cls.atomic([(c, 1.0)])
-
     def descriptor(self) -> tuple:
         """Flat (kind, c0, c1, xs, ys) encoding consumed by the kernels.
 
         Atoms give positions and weights (kind 0), a semicircle its mean
         and variance (kind 1).  A grid (kind 2) gives its nodes and its
-        values times the trapezoid weights dx * [1/2, 1, ..., 1, 1/2], so
-        the kernels sum atoms and grid nodes alike.
+        values times its trapezoid ``weights``, so the kernels sum atoms and
+        grid nodes alike.
         """
         empty = np.empty(0, dtype=float)
         if self.kind == "atomic":
@@ -157,10 +168,7 @@ class MeasureSpec:
             return (0, 0.0, 0.0, pos, wts)
         if self.kind == "semicircle":
             return (1, self.mean, self.variance, empty, empty)
-        grid = self.grid
-        wts = np.full(grid.n_points, (grid.hi - grid.lo) / (grid.n_points - 1))
-        wts[[0, -1]] *= 0.5
-        return (2, 0.0, 0.0, grid.x, grid.values * wts)
+        return (2, 0.0, 0.0, self.grid.x, self.grid.values * self.grid.weights)
 
     @property
     def support_radius(self) -> float:
@@ -197,10 +205,8 @@ class MeasureSpec:
             return momentalg.cumulants_to_moments(
                 momentalg.FreeCumulantSequence(kappa)
             )
-        x = self.grid.x
-        vals = [
-            float(np.trapezoid(x**j * self.grid.values, x)) for j in range(order + 1)
-        ]
+        x, wv = self.grid.x, self.grid.values * self.grid.weights
+        vals = [float(wv @ x**j) for j in range(order + 1)]
         vals[0] = 1.0
         return momentalg.MomentSequence(vals, validate=False)
 
@@ -234,6 +240,7 @@ class MeasureEvaluator:
         return z
 
     def cauchy(self, z):
+        """G(z) = integral of 1/(z - x) d(law)(x), Im z > 0 (so Im G < 0)."""
         arr = _as_upper_half(z)
         out = _kernels.cauchy_vals(self._omega(arr), *self.base.descriptor())
         return out[0] if np.isscalar(z) or np.ndim(z) == 0 else out
@@ -249,11 +256,6 @@ class MeasureEvaluator:
                 residual=worst,
                 iterations=iterations,
             )
-
-
-def cauchy_transform(mu: MeasureSpec, z):
-    """G_mu(z) = integral of 1/(z - x) dmu(x), Im z > 0 (so Im G < 0)."""
-    return MeasureEvaluator(mu).cauchy(z)
 
 
 class NFoldEvaluator(MeasureEvaluator):

@@ -99,7 +99,6 @@ def _cmd_convolve(args) -> int:
 
 def _cmd_stein_check(args) -> int:
     _require(args, "order", 2, MAX_ORDER)
-    _require(args, "theta_step", 0.0, stein.MAX_THETA_STEP, lo_open=True)
     mu = _load_measure(args.measure)
     m = mu.moments(args.order)
     disc = stein.stein_discrepancy(m)
@@ -108,11 +107,11 @@ def _cmd_stein_check(args) -> int:
     for r, v in enumerate(disc.values):
         print(f"{r}\t{float(v):.12g}")
     print("# semigroup generator: closed form vs finite difference "
-          f"(theta_step={args.theta_step:g})")
+          f"(theta_step={stein.FD_THETA_STEP:g})")
     print("p\tclosed\tfinite_diff\tabs_err")
     for p in range(1, args.order + 1):
         closed = float(stein.generator_apply(m, p))
-        fd = stein.generator_finite_difference(mu, p, args.theta_step)
+        fd = stein.generator_finite_difference(mu, p, stein.FD_THETA_STEP)
         print(f"{p}\t{closed:.12g}\t{fd:.12g}\t{abs(fd - closed):.3e}")
     print("# dual Stein equation residual for h = x^p")
     print("p\tpairing\texpected\tabs_err")
@@ -136,16 +135,14 @@ def _parse_partition(blocks_json: str, n: int | None = None) -> ncpart.NcPartiti
         raise ConfigError(f"bad partition {blocks_json!r}: {exc}") from exc
 
 
-def _require(args, name: str, lo, hi=math.inf, lo_open: bool = False) -> None:
-    """Refuse the number argument ``name`` outside [lo, hi], or (lo, hi]."""
+def _require(args, name: str, lo, hi=math.inf) -> None:
+    """Refuse the number argument ``name`` outside [lo, hi]."""
     value = getattr(args, name)
-    if not lo <= value <= hi or (lo_open and value == lo):
+    if not lo <= value <= hi:
         flag = "-n" if name == "n" else "--" + name.replace("_", "-")
         upper = f" <= {hi}" if hi < math.inf else ""
         command = " ".join((args.command, getattr(args, "what", ""))).strip()
-        raise ConfigError(
-            f"{command} needs {lo} {'<' if lo_open else '<='} {flag}{upper}, got {value}"
-        )
+        raise ConfigError(f"{command} needs {lo} <= {flag}{upper}, got {value}")
 
 
 def _cmd_nc(args) -> int:
@@ -238,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stein-check", help="discrepancy, generator and dual-equation tables")
     p.add_argument("--measure", required=True)
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("--theta-step", type=float, default=1e-5)
     p.set_defaults(func=_cmd_stein_check)
 
     p = sub.add_parser("nc", help="non-crossing lattice utilities")

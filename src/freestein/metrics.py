@@ -1,15 +1,15 @@
 """Distances between grid densities: Kolmogorov, total variation, W1.
 
-All three work from densities/CDFs on uniform grids; inputs on different
-windows are resampled by linear interpolation onto the union grid.  The
+All three compare two densities on one uniform grid, and refuse a pair on
+different grids (ValueError).  TV and W1 integrate with the grid's
+trapezoid ``weights``; the CDFs are the cumulative trapezoid rule.  The
 Wasserstein distance is the classical CDF-difference integral, the upper
 bound through which the non-commutative distance is controlled.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,20 +29,11 @@ class DistanceReport:
     d_w1: float
     mass_deficit: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
-
-def _union_grid(a: GridDensity, b: GridDensity):
-    if a.lo == b.lo and a.hi == b.hi and a.n_points == b.n_points:
-        return a.x, np.asarray(a.values), np.asarray(b.values)
-    lo = min(a.lo, b.lo)
-    hi = max(a.hi, b.hi)
-    n = max(a.n_points, b.n_points)
-    xs = np.linspace(lo, hi, n)
-    fa = np.interp(xs, a.x, a.values, left=0.0, right=0.0)
-    fb = np.interp(xs, b.x, b.values, left=0.0, right=0.0)
-    return xs, fa, fb
+def _one_grid(a: GridDensity, b: GridDensity) -> None:
+    """Refuse two densities on different grids."""
+    if (a.lo, a.hi, a.n_points) != (b.lo, b.hi, b.n_points):
+        raise ValueError(f"distances need densities on one grid, got {a!r} and {b!r}")
 
 
 def _cdf_on(xs: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -53,10 +44,16 @@ def _cdf_on(xs: np.ndarray, f: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _cdf_gap(a: GridDensity, b: GridDensity) -> np.ndarray:
+    """|F_a - F_b| at the nodes of the grid that a and b share."""
+    _one_grid(a, b)
+    xs = a.x
+    return np.abs(_cdf_on(xs, a.values) - _cdf_on(xs, b.values))
+
+
 def kolmogorov(a: GridDensity, b: GridDensity) -> float:
-    """sup_x |F_a(x) - F_b(x)| over the union grid."""
-    xs, fa, fb = _union_grid(a, b)
-    return float(np.abs(_cdf_on(xs, fa) - _cdf_on(xs, fb)).max())
+    """sup_x |F_a(x) - F_b(x)| over the grid nodes."""
+    return float(_cdf_gap(a, b).max())
 
 
 def total_variation(a: GridDensity, b: GridDensity) -> float:
@@ -65,24 +62,27 @@ def total_variation(a: GridDensity, b: GridDensity) -> float:
     Refused (ValueError) when either input is mass-deficient; a density
     that silently dropped an atom would understate the distance.
     """
+    _one_grid(a, b)
     for g, side in ((a, "first"), (b, "second")):
         if g.mass_deficit >= TV_DEFICIT_LIMIT:
             raise ValueError(
                 f"total variation unavailable: {side} density has mass deficit "
                 f"{g.mass_deficit:.4f}"
             )
-    xs, fa, fb = _union_grid(a, b)
-    return float(0.5 * np.trapezoid(np.abs(fa - fb), xs))
+    return float(0.5 * (a.weights @ np.abs(a.values - b.values)))
 
 
 def wasserstein1(a: GridDensity, b: GridDensity) -> float:
-    """W1 distance as the integral of |F_a - F_b| over the union window."""
-    xs, fa, fb = _union_grid(a, b)
-    return float(np.trapezoid(np.abs(_cdf_on(xs, fa) - _cdf_on(xs, fb)), xs))
+    """W1 distance as the integral of |F_a - F_b| over the grid's window."""
+    return float(a.weights @ _cdf_gap(a, b))
 
 
 def distance_report(a: GridDensity, b: GridDensity, metrics=("kol", "tv", "w1")) -> DistanceReport:
-    """Bundle the requested distances; TV refusal becomes d_tv = None."""
+    """Bundle the requested distances; TV refusal becomes d_tv = None.
+
+    Densities on different grids raise ValueError, whichever metrics are asked.
+    """
+    _one_grid(a, b)
     d_kol = kolmogorov(a, b) if "kol" in metrics else float("nan")
     d_w1 = wasserstein1(a, b) if "w1" in metrics else float("nan")
     d_tv = None

@@ -283,11 +283,3 @@ def mobius(p: NcPartition, q: NcPartition) -> int:
         raise ValueError("mobius requires a non-crossing p <= q in the refinement order")
     return math.prod((-1) ** (len(w) - 1) * catalan(len(w) - 1) for w in cycles)
 
-
-def mobius_to_top(p: NcPartition) -> int:
-    """mu(p, 1-hat), by :func:`mobius`.
-
-    K_{1-hat}(p) is the Kreweras complement K(p), so each block W of K(p)
-    contributes (-1)^(|W|-1) * Catalan(|W|-1).
-    """
-    return mobius(p, NcPartition.one(p.n))

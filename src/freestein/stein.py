@@ -35,6 +35,8 @@ from .momentalg import (
 _DIAG_CUTOFF = 1e-8
 _DIAG_STEP = 1e-5
 MAX_THETA_STEP = 1e-3
+#: the theta step of the finite-difference generator check in ``stein-check``
+FD_THETA_STEP = 1e-5
 
 #: Fixed measures used by consistency checks and the acceptance suite:
 #: standard semicircle, symmetric Bernoulli, a skewed two-atom law

@@ -35,6 +35,29 @@ class TestMeasureSpec:
         with pytest.raises(ValueError):
             an.MeasureSpec.semicircle(0.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            [(math.nan, 0.5), (1.0, 0.5)],
+            [(-1.0, math.nan), (1.0, 0.5)],
+            [(math.inf, 0.5), (1.0, 0.5)],
+            [(-1.0, math.inf), (1.0, 0.5)],
+        ],
+        ids=["atom-nan", "weight-nan", "atom-inf", "weight-inf"],
+    )
+    def test_non_finite_atoms_rejected(self, atoms):
+        with pytest.raises(ValueError, match="finite"):
+            an.MeasureSpec.atomic(atoms)
+
+    @pytest.mark.parametrize(
+        "mean, variance",
+        [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)],
+        ids=["mean-nan", "mean-inf", "variance-nan", "variance-inf"],
+    )
+    def test_non_finite_semicircle_rejected(self, mean, variance):
+        with pytest.raises(ValueError, match="finite"):
+            an.MeasureSpec.semicircle(mean, variance)
+
     def test_moments_atomic(self):
         m = ASYM.moments(3)
         assert float(m[1]) == pytest.approx(0.0, abs=1e-15)
@@ -66,45 +89,46 @@ class TestMeasureSpec:
 
 class TestCauchyTransform:
     def test_point_mass_at_i(self):
-        assert an.cauchy_transform(an.MeasureSpec.point_mass(0.0), 1j) == pytest.approx(-1j)
+        point = an.MeasureSpec.atomic([(0.0, 1.0)])
+        assert an.MeasureEvaluator(point).cauchy(1j) == pytest.approx(-1j)
 
     def test_semicircle_closed_form_at_2i(self):
-        val = an.cauchy_transform(SEMI, 2j)
+        val = an.MeasureEvaluator(SEMI).cauchy(2j)
         assert val == pytest.approx(1j * (1 - math.sqrt(2)), abs=1e-14)
         assert val.imag < 0
 
     def test_total_mass_at_infinity(self):
         z = 1e6j
         for mu in (BERN, ASYM, SEMI):
-            assert abs(z * an.cauchy_transform(mu, z) - 1) < 1e-5
+            assert abs(z * an.MeasureEvaluator(mu).cauchy(z) - 1) < 1e-5
 
     def test_lower_half_plane_value(self):
         zs = np.array([0.3 + 0.7j, -1.2 + 0.05j, 2.5 + 2j])
         for mu in (BERN, ASYM, SEMI):
-            assert np.all(an.cauchy_transform(mu, zs).imag < 0)
+            assert np.all(an.MeasureEvaluator(mu).cauchy(zs).imag < 0)
 
     def test_half_plane_guard(self):
         with pytest.raises(ValueError, match="half plane"):
-            an.cauchy_transform(SEMI, 1.0 - 1j)
+            an.MeasureEvaluator(SEMI).cauchy(1.0 - 1j)
 
     def test_grid_measure_matches_closed_form(self):
         grid = unit_grid(an.semicircle_density(-2.05, 2.05, 8001))
         mu = an.MeasureSpec.from_grid(grid)
         for z in (1j, 0.5 + 0.3j, -1.4 + 2j):
-            assert an.cauchy_transform(mu, z) == pytest.approx(
-                an.cauchy_transform(SEMI, z), abs=2e-4
+            assert an.MeasureEvaluator(mu).cauchy(z) == pytest.approx(
+                an.MeasureEvaluator(SEMI).cauchy(z), abs=2e-4
             )
 
 
 class TestSubordination:
     def test_point_mass_translates(self):
         z = 0.7 + 0.9j
-        lhs = an.PairConvolveEvaluator(an.MeasureSpec.point_mass(0.6), BERN).cauchy(z)
-        assert lhs == pytest.approx(an.cauchy_transform(BERN, z - 0.6), abs=1e-13)
+        lhs = an.PairConvolveEvaluator(an.MeasureSpec.atomic([(0.6, 1.0)]), BERN).cauchy(z)
+        assert lhs == pytest.approx(an.MeasureEvaluator(BERN).cauchy(z - 0.6), abs=1e-13)
 
     def test_semicircle_variances_add(self):
         lhs = an.PairConvolveEvaluator(SEMI, SEMI).cauchy(3j)
-        rhs = an.cauchy_transform(an.MeasureSpec.semicircle(0, 2), 3j)
+        rhs = an.MeasureEvaluator(an.MeasureSpec.semicircle(0, 2)).cauchy(3j)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_bernoulli_pair_is_arcsine(self):
@@ -123,8 +147,8 @@ class TestSubordination:
         # F_a(omega1) = F_b(omega2) = F_{a boxplus b}(z)
         zs = np.array([0.4 + 0.2j, -2.0 + 0.5j, 1.1 + 1.0j])
         om1, om2, _, _ = _kernels.pair_omega(zs, *BERN.descriptor(), *SEMI.descriptor())
-        fa = 1.0 / an.cauchy_transform(BERN, om1)
-        fb = 1.0 / an.cauchy_transform(SEMI, om2)
+        fa = 1.0 / an.MeasureEvaluator(BERN).cauchy(om1)
+        fb = 1.0 / an.MeasureEvaluator(SEMI).cauchy(om2)
         assert np.abs(fa - fb).max() < 1e-9
 
 
@@ -180,12 +204,12 @@ class TestNFold:
     def test_n1_is_identity(self):
         ev = an.nfold_convolve(ASYM, 1, 1.0)
         zs = np.array([1j, 0.2 + 0.4j])
-        assert np.abs(ev.cauchy(zs) - an.cauchy_transform(ASYM, zs)).max() < 1e-13
+        assert np.abs(ev.cauchy(zs) - an.MeasureEvaluator(ASYM).cauchy(zs)).max() < 1e-13
 
     def test_semicircle_stable_under_standardized_pair(self):
         ev = an.nfold_convolve(SEMI, 2, 1 / math.sqrt(2))
         for z in (1j, 0.3 + 0.2j):
-            assert ev.cauchy(z) == pytest.approx(an.cauchy_transform(SEMI, z), abs=1e-12)
+            assert ev.cauchy(z) == pytest.approx(an.MeasureEvaluator(SEMI).cauchy(z), abs=1e-12)
 
     def test_variance_additivity(self):
         ev = an.nfold_convolve(BERN, 4, 0.5)
@@ -218,7 +242,7 @@ class TestStieltjesDensity:
         assert np.abs(d.values - ref)[mask].max() < 1e-3
 
     def test_pure_atom_flags_mass_failure(self):
-        ev = an.MeasureEvaluator(an.MeasureSpec.point_mass(0.0))
+        ev = an.MeasureEvaluator(an.MeasureSpec.atomic([(0.0, 1.0)]))
         with pytest.warns(MassRecoveryWarning):
             d = an.stieltjes_density(ev, -1, 1, 201)
         assert not 0.97 <= d.mass <= 1.03
@@ -235,6 +259,31 @@ class TestGridDensity:
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
             an.GridDensity(-1, 1, [0.5, -1e-3, 0.5])
+
+    @pytest.mark.parametrize(
+        "lo, hi, values",
+        [
+            (-1, 1, [0.5, math.nan, 0.5]),
+            (-1, 1, [0.5, math.inf, 0.5]),
+            (math.nan, 1, [0.5, 0.5, 0.5]),
+            (-1, math.inf, [0.5, 0.5, 0.5]),
+            (-math.inf, 1, [0.5, 0.5, 0.5]),
+        ],
+        ids=["value-nan", "value-inf", "lo-nan", "hi-inf", "lo-minus-inf"],
+    )
+    def test_non_finite_input_rejected(self, lo, hi, values):
+        with pytest.raises(ValueError, match="finite"):
+            an.GridDensity(lo, hi, values)
+
+    @pytest.mark.parametrize("lo, hi, n", [(-2.0, 2.0, 33), (-3.2, 1.7, 2001), (0.0, 1.0, 2)])
+    def test_weights_are_the_trapezoid_rule(self, lo, hi, n):
+        g = an.GridDensity(lo, hi, np.ones(n))
+        assert g.weights.sum() == pytest.approx(hi - lo, rel=1e-14)
+        x = g.x
+        # the third integrand has non-zero end values, so the half end weights count
+        for f in (np.sqrt(np.clip(4.0 - x**2, 0.0, None)), x**2, np.exp(x)):
+            oracle = np.trapezoid(f, x)
+            assert g.weights @ f == pytest.approx(oracle, rel=1e-14, abs=1e-300)
 
     def test_tiny_negatives_clamped(self):
         g = an.GridDensity(-1, 1, [0.5, -1e-13, 0.5])
@@ -263,6 +312,13 @@ class TestGridDensity:
         path = tmp_path / "density.csv"
         path.write_text("x,density\n" + body)
         with pytest.raises(ValueError, match=match):
+            an.GridDensity.from_csv(path)
+
+    @pytest.mark.parametrize("body", ["-1,0.5\nnan,0.5\n1,0.5\n", "-1,0.5\n0,0.5\ninf,0.5\n"])
+    def test_csv_rejects_a_non_finite_x_column(self, tmp_path, body):
+        path = tmp_path / "density.csv"
+        path.write_text("x,density\n" + body)
+        with pytest.raises(ValueError, match="finite"):
             an.GridDensity.from_csv(path)
 
 
@@ -322,7 +378,7 @@ class TestOuSemigroup:
     def test_theta_zero_is_identity(self):
         ev = an.ou_semigroup(ASYM, 0.0)
         z = 0.5 + 0.8j
-        assert ev.cauchy(z) == an.cauchy_transform(ASYM, z)
+        assert ev.cauchy(z) == an.MeasureEvaluator(ASYM).cauchy(z)
 
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError):

@@ -91,6 +91,42 @@ class TestMoments:
         assert run(["moments", "--measure", measure, "--order", "2"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "2\t0.5"
 
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            '{"type":"atomic","atoms":[[NaN,0.5],[1,0.5]]}',
+            '{"type":"atomic","atoms":[[-1,NaN],[1,0.5]]}',
+            '{"type":"atomic","atoms":[[1e999,0.5],[1,0.5]]}',
+            '{"type":"semicircle","mean":NaN}',
+            '{"type":"semicircle","variance":Infinity}',
+        ],
+        ids=["atom-nan", "weight-nan", "atom-inf", "mean-nan", "variance-inf"],
+    )
+    def test_non_finite_measure_exits_2_before_output(self, measure, capsys):
+        assert run(["moments", "--measure", measure]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "-1,0.5\n0,nan\n1,0.5\n",
+            "-1,0.5\n0,inf\n1,0.5\n",
+            "-1,0.5\nnan,0.5\n1,0.5\n",
+            "-1,0.5\n0,0.5\ninf,0.5\n",
+        ],
+        ids=["density-nan", "density-inf", "x-nan", "x-inf"],
+    )
+    def test_non_finite_grid_file_exits_2_before_output(self, tmp_path, body, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("x,density\n" + body)
+        measure = json.dumps({"type": "grid", "path": str(path)})
+        assert run(["moments", "--measure", measure]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+
     @pytest.mark.parametrize("order", ["1", "13"])
     def test_order_out_of_range_exits_2(self, order, capsys):
         assert run(["moments", "--measure", BERN_JSON, "--order", order]) == 2
@@ -192,15 +228,21 @@ class TestSteinCheck:
         assert "generator" in out
         assert "dual Stein" in out
 
-    @pytest.mark.parametrize(
-        "args",
-        [["--order", "13"], ["--order", "1"], ["--theta-step", "0.1"], ["--theta-step", "0"]],
-    )
+    @pytest.mark.parametrize("args", [["--order", "13"], ["--order", "1"]])
     def test_bad_numbers_exit_2_before_output(self, args, capsys):
         assert run(["stein-check", "--measure", BERN_JSON, *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error" in captured.err
+
+    def test_theta_step_is_not_an_option(self, capsys):
+        # the finite-difference step is stein.FD_THETA_STEP, not a flag
+        with pytest.raises(SystemExit) as exc:
+            run(["stein-check", "--measure", BERN_JSON, "--theta-step", "1e-5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--theta-step" in captured.err
 
 
 class TestNc:
@@ -418,6 +460,21 @@ class TestBerryEsseenAndFit:
         assert captured.out == ""
         assert "config error" in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_non_finite_base_exits_2_before_output(self, tmp_path, normalize, capsys):
+        out = tmp_path / "r.csv"
+        cfg = {
+            "base_measure": {"type": "atomic", "atoms": [[float("nan"), 0.5], [1.0, 0.5]]},
+            "n_values": [4, 8],
+            "normalize": normalize,
+            "output": str(out),
+        }
+        assert run(["berry-esseen", "--config", json.dumps(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_output_directory_exits_2_before_output(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "x.csv"

@@ -7,7 +7,8 @@ name (one leading underscore) of a module is referenced somewhere in the
 package beyond its definition, so that helpers whose last caller went
 do not linger as test-only code.  The exact stack's command line loads
 no module it does not need: ``numpy.polynomial`` (a few milliseconds) is
-not imported by ``stein-check``.
+not imported by ``stein-check``.  The version is written once, as
+``freestein.__version__``, and ``pyproject.toml`` reads it from there.
 """
 
 import ast
@@ -18,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "freestein"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "freestein"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(SRC.glob("*.py"))
 
@@ -116,3 +118,12 @@ def test_stein_check_does_not_import_numpy_polynomial():
 
 def test_import_log_sees_numpy_polynomial():
     assert "numpy.polynomial" in imported_modules("-c", "import numpy.polynomial")
+
+
+def test_version_has_one_source():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in project["project"]
+    assert "version" in project["project"]["dynamic"]
+    dynamic = project["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "freestein.__version__"}

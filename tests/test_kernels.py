@@ -25,7 +25,7 @@ FLAT_GRID = MeasureSpec.from_grid(GridDensity(-1.0, 1.0, np.full(17, 0.5)))
 # law with their first three moments; the others start at the exact root
 INEXACT_SEED = ("three-atom", "grid")
 NFOLD_LAWS = {
-    "one-atom": MeasureSpec.point_mass(0.3),
+    "one-atom": MeasureSpec.atomic([(0.3, 1.0)]),
     "bernoulli": BERN,
     "skewed": MeasureSpec.atomic([(2.0, 0.2), (-0.5, 0.8)]),
     "three-atom": MeasureSpec.atomic([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)]),
@@ -231,6 +231,17 @@ def test_cauchy_backends_agree(mu, z):
     active = _kernels.cauchy_vals(z, *mu.descriptor())
     reference = np.array([1.0 / _f_df_scalar(*_oracle_desc(mu), zi)[0] for zi in z])
     assert np.abs(active - reference).max() < 1e-13
+
+
+@pytest.mark.parametrize("z", [GRID_Z, HIGH_Z], ids=["near-axis", "high"])
+@pytest.mark.parametrize("mean, variance", [(0.0, 1.0), (-0.3, 0.49)])
+def test_semicircle_cauchy_is_the_closed_form(mean, variance, z):
+    # G is taken as 1/F from the one square-root formula, bit for bit 2/(u + s)
+    u = z - mean
+    edge = 2.0 * math.sqrt(variance)
+    s = np.sqrt(u - edge) * np.sqrt(u + edge)
+    desc = MeasureSpec.semicircle(mean, variance).descriptor()
+    assert np.array_equal(_kernels.cauchy_vals(z, *desc), 2.0 / (u + s))
 
 
 @pytest.mark.parametrize("z", [GRID_Z, HIGH_Z], ids=["near-axis", "high"])

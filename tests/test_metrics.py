@@ -1,6 +1,7 @@
 """Distance layer: metric axioms, closed-form instances, refinement oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,10 +94,26 @@ class TestKolmogorov:
         )
         assert coarse == pytest.approx(fine, abs=1e-3)
 
-    def test_resampling_different_windows(self):
-        a = an.semicircle_density(-3, 3, 1501)
-        b = an.semicircle_density(-4, 4, 2001)
-        assert met.kolmogorov(a, b) < 2e-4
+
+class TestOneGrid:
+    @pytest.mark.parametrize(
+        "other",
+        [(-3, 3, 2001), (-4, 4, 1501), (-4, 4.5, 2001)],
+        ids=["window", "points", "upper-end"],
+    )
+    @pytest.mark.parametrize("dist", [met.kolmogorov, met.total_variation, met.wasserstein1])
+    def test_mismatched_grids_refused(self, dist, other):
+        # two densities are compared only on the grid they share
+        a = an.semicircle_density(-4, 4, 2001)
+        with pytest.raises(ValueError, match="one grid"):
+            dist(a, an.semicircle_density(*other))
+
+    @pytest.mark.parametrize("metrics", [("kol",), ("tv",), ("w1",)])
+    def test_report_refuses_mismatched_grids(self, metrics):
+        # a TV-only report must not turn the refusal into d_tv = None
+        a = an.semicircle_density(-4, 4, 2001)
+        with pytest.raises(ValueError, match="one grid"):
+            met.distance_report(a, an.semicircle_density(-3, 3, 2001), metrics)
 
 
 class TestTotalVariation:
@@ -117,6 +134,14 @@ class TestTotalVariation:
             an.semicircle_density(-4, 4, 20001), arcsine_cell_averaged(20001)
         )
         assert coarse == pytest.approx(fine, abs=1e-3)
+
+    def test_is_the_uniform_trapezoid_sum(self):
+        # exact rational arithmetic: dx/2 * (|d_0|/2 + |d_1| + ... + |d_N|/2)
+        a, b = SEEDED_BATTERY[0], SEEDED_BATTERY[2]
+        d = [Fraction(v) for v in np.abs(a.values - b.values)]
+        dx = (Fraction(a.hi) - Fraction(a.lo)) / (a.n_points - 1)
+        exact = float(dx / 2 * (sum(d) - (d[0] + d[-1]) / 2))
+        assert met.total_variation(a, b) == pytest.approx(exact, rel=1e-15)
 
     def test_mass_deficit_refused(self):
         half = an.GridDensity(-4, 4, 0.5 * np.asarray(SEEDED_BATTERY[0].values))
@@ -186,11 +211,3 @@ class TestDistanceReport:
         rep = met.distance_report(SEEDED_BATTERY[0], half)
         assert rep.d_tv is None
         assert rep.mass_deficit > 0.1
-
-    def test_json_round_trip(self):
-        import json
-
-        rep = met.distance_report(SEEDED_BATTERY[0], SEEDED_BATTERY[2])
-        data = json.loads(rep.to_json())
-        assert set(data) == {"d_kol", "d_tv", "d_w1", "mass_deficit"}
-        assert data["d_kol"] == rep.d_kol

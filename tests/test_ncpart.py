@@ -372,7 +372,7 @@ class TestMobius:
             assert ncpart.mobius(p, q) == mu, (p, q)
         top = NcPartition.one(n)
         for p in ncpart.enumerate_nc(n):
-            assert ncpart.mobius_to_top(p) == table[(p, top)]
+            assert ncpart.mobius(p, top) == table[(p, top)]
 
 
 class TestCatalanBell:
