@@ -82,8 +82,10 @@ def _cmd_convolve(args) -> int:
         )
     if args.window:
         lo, hi = args.window
-        if not -math.inf < lo < hi < math.inf:
-            raise ConfigError(f"convolve needs a finite --window LO HI, LO < HI, got {lo} {hi}")
+        if not (-math.inf < lo < hi < math.inf and math.isfinite(hi - lo)):
+            raise ConfigError(
+                f"convolve needs a finite --window LO HI, LO < HI, HI - LO finite, got {lo} {hi}"
+            )
     mu = _load_measure(args.measure)
     ev = nfold_convolve(mu, args.n, scale)
     if not args.window:
@@ -150,7 +152,7 @@ def _cmd_nc(args) -> int:
         _require(args, "n", 1, ncpart.MAX_CATALAN)
         print(f"n={args.n} |NC(n)|={ncpart.catalan(args.n)} Bell(n)={ncpart.bell(args.n)}")
         if args.n <= ncpart.MAX_GROUND_SET:
-            print(f"enumerated={len(ncpart.nc_blocks(args.n))}")
+            print(f"enumerated={sum(1 for _ in ncpart.nc_blocks(args.n))}")
         return 0
     if args.what == "mobius":
         _require(args, "n", 1, ncpart.MAX_GROUND_SET)
@@ -204,6 +206,24 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that reads every number as a value, never as a flag.
+
+    argparse tells a negative number from an option by a pattern that
+    knows only the ``-5`` and ``-.5`` forms, so ``-1e-3`` read as a flag.
+    Here whatever ``float`` accepts is a value.  No option of any
+    subcommand looks like a number.  Subparsers are built from the same
+    class.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after.
@@ -211,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing keeps no state in the parser, so one tree serves every
     :func:`main` call of a process.
     """
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="freestein",
         description="Free-probability Stein machinery and Berry-Esseen rate experiments.",
     )

@@ -63,13 +63,17 @@ def total_variation(a: GridDensity, b: GridDensity) -> float:
     that silently dropped an atom would understate the distance.
     """
     _one_grid(a, b)
-    for g, side in ((a, "first"), (b, "second")):
-        if g.mass_deficit >= TV_DEFICIT_LIMIT:
+    return _total_variation(a, b, a.weights, (a.mass_deficit, b.mass_deficit))
+
+
+def _total_variation(a: GridDensity, b: GridDensity, weights, deficits) -> float:
+    """:func:`total_variation` from the grid's weights and the two mass deficits."""
+    for deficit, side in zip(deficits, ("first", "second")):
+        if deficit >= TV_DEFICIT_LIMIT:
             raise ValueError(
-                f"total variation unavailable: {side} density has mass deficit "
-                f"{g.mass_deficit:.4f}"
+                f"total variation unavailable: {side} density has mass deficit {deficit:.4f}"
             )
-    return float(0.5 * (a.weights @ np.abs(a.values - b.values)))
+    return float(0.5 * (weights @ np.abs(a.values - b.values)))
 
 
 def wasserstein1(a: GridDensity, b: GridDensity) -> float:
@@ -81,19 +85,18 @@ def distance_report(a: GridDensity, b: GridDensity, metrics=("kol", "tv", "w1"))
     """Bundle the requested distances; TV refusal becomes d_tv = None.
 
     Densities on different grids raise ValueError, whichever metrics are asked.
+    The CDF gap, the weights and the two masses are computed once.
     """
     _one_grid(a, b)
-    d_kol = kolmogorov(a, b) if "kol" in metrics else float("nan")
-    d_w1 = wasserstein1(a, b) if "w1" in metrics else float("nan")
+    weights = a.weights
+    deficits = tuple(abs(1.0 - float(weights @ g.values)) for g in (a, b))
+    gap = _cdf_gap(a, b) if "kol" in metrics or "w1" in metrics else None
+    d_kol = float(gap.max()) if "kol" in metrics else float("nan")
+    d_w1 = float(weights @ gap) if "w1" in metrics else float("nan")
     d_tv = None
     if "tv" in metrics:
         try:
-            d_tv = total_variation(a, b)
+            d_tv = _total_variation(a, b, weights, deficits)
         except ValueError:
             d_tv = None
-    return DistanceReport(
-        d_kol=d_kol,
-        d_tv=d_tv,
-        d_w1=d_w1,
-        mass_deficit=max(a.mass_deficit, b.mass_deficit),
-    )
+    return DistanceReport(d_kol=d_kol, d_tv=d_tv, d_w1=d_w1, mass_deficit=max(deficits))

@@ -5,10 +5,12 @@ complementation and the Moebius function of the lattice.  Everything here
 is exact integer combinatorics; enumeration is capped at n = 12 so that
 exhaustive tests stay cheap.
 
-The lattice is walked as :func:`nc_blocks`, tuples of shared canonical
-block tuples; :class:`NcPartition` objects are built only at the public
-API.  :mod:`freestein.momentalg` solves power-series equations for its
-transforms and mixed moments and walks no lattice.
+The lattice is walked lazily as :func:`nc_blocks`, one partition at a
+time as a tuple of shared canonical block tuples, and nothing is kept
+once a partition has been yielded; :class:`NcPartition` objects are
+built only at the public API.  :mod:`freestein.momentalg` solves
+power-series equations for its transforms and mixed moments and walks
+no lattice.
 
 The lattice maps read one cycle count.  P_pi cycles each block of pi in
 increasing order, and gamma = (1 2 ... n) is P of the one-block partition.
@@ -26,7 +28,6 @@ among them, serve as oracles in the test suite.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 MAX_GROUND_SET = 12
 MAX_CATALAN = 30
@@ -159,9 +160,12 @@ def _geodesic(n: int, lower: tuple, upper: tuple, cycles: tuple) -> bool:
     return len(lower) + len(cycles) == n + len(upper)
 
 
-@lru_cache(maxsize=None)
-def nc_blocks(n: int) -> tuple:
-    """NC(n) as shared canonical block tuples, in descending RGS order.
+def nc_blocks(n: int):
+    """NC(n) as tuples of canonical block tuples, lazily, in descending RGS order.
+
+    The bound is checked at the call; the walk then yields one partition at
+    a time and keeps none of them, so counting NC(n) holds no lattice.
+    Block tuples are shared between consecutive partitions.
 
     0-hat comes first and 1-hat last.  Elements are placed left to right.
     A block stays open while no later element has joined a block created
@@ -171,30 +175,52 @@ def nc_blocks(n: int) -> tuple:
     i in descending order.
     """
     _check_bound(n)
-    out = []
+    return _walk_nc(n)
+
+
+def _walk_nc(n: int):
+    """The walk of :func:`nc_blocks`, depth first in one frame with an explicit stack.
+
+    ``choice`` at element i < n is 0 for a new block and k for the k-th
+    open block counted from the innermost; the stack holds, per placed
+    element, its open blocks, its choice and the block tuple it replaced.
+    """
     blocks = []  # in creation order, i.e. by least element
-
-    def rec(i: int, open_blocks: tuple) -> None:
-        if i == n:  # the choices of the last element are the leaves
-            out.append((*blocks, (n,)))
-            for j in reversed(open_blocks):
-                b = blocks[j]
-                blocks[j] = b + (n,)
-                out.append(tuple(blocks))
-                blocks[j] = b
-            return
-        blocks.append((i,))
-        rec(i + 1, open_blocks + (len(blocks) - 1,))
-        blocks.pop()
-        for depth in range(len(open_blocks) - 1, -1, -1):
-            j = open_blocks[depth]
+    stack = []
+    last = (n,)
+    i, opened, choice = 1, (), 0
+    while True:
+        while i < n:  # place i by its choice, then every later element by choice 0
+            if choice:
+                depth = len(opened) - choice
+                j = opened[depth]
+                stack.append((opened, choice, blocks[j]))
+                blocks[j] += (i,)
+                opened = opened[: depth + 1]
+            else:
+                stack.append((opened, 0, None))
+                blocks.append((i,))
+                opened += (len(blocks) - 1,)
+            i += 1
+            choice = 0
+        yield (*blocks, last)  # the choices of the last element are the leaves
+        for j in reversed(opened):
             b = blocks[j]
-            blocks[j] = b + (i,)
-            rec(i + 1, open_blocks[: depth + 1])
+            blocks[j] = b + last
+            yield tuple(blocks)
             blocks[j] = b
-
-    rec(1, ())
-    return tuple(out)
+        while stack:  # back up to the deepest element with a choice left
+            i -= 1
+            opened, choice, b = stack.pop()
+            if choice:
+                blocks[opened[len(opened) - choice]] = b
+            else:
+                blocks.pop()
+            choice += 1
+            if choice <= len(opened):
+                break
+        else:
+            return
 
 
 def enumerate_nc(n: int) -> list:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -181,10 +182,17 @@ class TestConvolve:
             ["--window", "1", "1"],
             ["--window", "0", "inf"],
             ["--window", "nan", "1"],
+            ["--scale", "-inf"],
+            ["--window", "-inf", "1"],
+            ["--window", "1e308", "-1e308"],
+            ["--window", "-1e999", "1"],
+            ["--window", "-1e308", "1e308"],
         ],
         ids=[
             "scale-0", "scale-inf", "scale-neg-inf", "scale-nan", "scale-abc",
             "window-reversed", "window-empty", "window-inf", "window-nan",
+            "scale-neg-inf-spaced", "window-neg-inf", "window-exponent-reversed",
+            "window-exponent-overflows", "window-width-overflows",
         ],
     )
     def test_bad_scale_or_window_exits_2_before_output(self, tmp_path, args, capsys):
@@ -210,6 +218,25 @@ class TestConvolve:
         assert captured.out == ""
         assert "config error" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "exponent, plain",
+        [
+            (["--window", "-2.5e0", "2.5"], ["--window", "-2.5", "2.5"]),
+            (["--scale", "-1e-1", "--window", "-3", "3"], ["--scale=-0.1", "--window", "-3", "3"]),
+            (["--window", "-25E-1", "2.5"], ["--window", "-2.5", "2.5"]),
+        ],
+        ids=["window", "scale", "upper-case-e"],
+    )
+    def test_negative_numbers_in_exponent_form(self, tmp_path, exponent, plain, capsys):
+        args = ["convolve", "--measure", BERN_JSON, "-n", "4", "--points", "257"]
+        outputs = []
+        for i, extra in enumerate((exponent, plain)):
+            out = tmp_path / f"d{i}.csv"
+            assert run([*args, "--out", str(out), *extra]) == 0
+            printed = capsys.readouterr().out.replace(str(out), "OUT")
+            outputs.append((printed, out.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_negative_scale_reflects(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -308,6 +335,17 @@ class TestNc:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error" in captured.err
+
+    def test_count_holds_no_lattice(self, capsys):
+        cli.build_parser()  # built once per process, so not counted against the walk
+        tracemalloc.start()
+        try:
+            assert run(["nc", "count", "-n", "11"]) == 0
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "enumerated=58786" in capsys.readouterr().out
+        assert held < 1_000_000
 
     def test_count_enumerates_up_to_the_ground_set_bound(self, capsys):
         assert run(["nc", "count", "-n", "12"]) == 0

@@ -212,6 +212,13 @@ class TestEnumeration:
         assert list(ncpart.nc_blocks(n)) == want
         assert [p.blocks for p in ncpart.enumerate_nc(n)] == want
 
+    def test_nc_blocks_is_a_fresh_lazy_walk(self):
+        walk = ncpart.nc_blocks(5)
+        assert iter(walk) is walk
+        assert ncpart.nc_blocks(5) is not ncpart.nc_blocks(5)
+        assert next(walk) == NcPartition.zero(5).blocks
+        assert list(ncpart.nc_blocks(5)) == list(ncpart.nc_blocks(5))
+
     @pytest.mark.parametrize("n", [0, 13])
     def test_nc_blocks_bounds(self, n):
         with pytest.raises(ValueError):

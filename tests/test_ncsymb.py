@@ -74,6 +74,13 @@ class TestDeltaPoly:
                 worst = max(worst, np.abs(lhs - rhs).max())
         assert worst < 1e-11
 
+    def test_closed_form_matches_word_evaluation(self):
+        worst = 0.0
+        for a, r in ncsymb.random_matrix_battery(50, 6):
+            lhs = ncsymb.eval_matrix(ncsymb.delta_poly(), a, r, Z_TEST)
+            worst = max(worst, np.abs(lhs - ncsymb._delta_matrix(a, r, Z_TEST)).max())
+        assert worst < 1e-15
+
     def test_commuting_diagonal_case(self):
         a = np.diag([0.5, -0.3]).astype(complex)
         r = np.diag([0.2, 0.7]).astype(complex)
