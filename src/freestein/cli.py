@@ -111,17 +111,17 @@ def _cmd_stein_check(args) -> int:
     print("# semigroup generator: closed form vs finite difference "
           f"(theta_step={stein.FD_THETA_STEP:g})")
     print("p\tclosed\tfinite_diff\tabs_err")
-    for p in range(1, args.order + 1):
+    fds = stein.finite_difference_table(mu, args.order, stein.FD_THETA_STEP)
+    for p, fd in enumerate(fds, start=1):
         closed = float(stein.generator_apply(m, p))
-        fd = stein.generator_finite_difference(mu, p, stein.FD_THETA_STEP)
         print(f"{p}\t{closed:.12g}\t{fd:.12g}\t{abs(fd - closed):.3e}")
     print("# dual Stein equation residual for h = x^p")
     print("p\tpairing\texpected\tabs_err")
     m6 = mu.moments(max(args.order, 6))
-    for p in range(1, 7):
-        coeffs = [0.0] * p + [1.0]
-        pairing = stein.dual_stein_pairing(mu, coeffs)
-        expected = float(semicircle_moments(max(p, 2))[p]) - float(m6[p])
+    s6 = semicircle_moments(6)
+    pairings = stein.monomial_pairings(mu, 6)
+    for p, pairing in enumerate(pairings[1:], start=1):
+        expected = float(s6[p]) - float(m6[p])
         print(f"{p}\t{pairing:.12g}\t{expected:.12g}\t{abs(pairing - expected):.3e}")
     return 0
 

@@ -189,14 +189,20 @@ def core_multi_index(word) -> tuple:
     return tuple(e for _, e in runs)
 
 
-def eval_matrix(
-    p: NcPolynomial, a_val: np.ndarray, r_val: np.ndarray, z_val: complex
-) -> np.ndarray:
-    """Substitute square matrices for A, R and a scalar for z."""
+def _square_pair(a_val, r_val) -> tuple:
+    """A and R as complex arrays, refused unless square of one dimension."""
     a = np.asarray(a_val, dtype=complex)
     r = np.asarray(r_val, dtype=complex)
     if a.shape != r.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("A and R must be square matrices of the same dimension")
+    return a, r
+
+
+def eval_matrix(
+    p: NcPolynomial, a_val: np.ndarray, r_val: np.ndarray, z_val: complex
+) -> np.ndarray:
+    """Substitute square matrices for A, R and a scalar for z."""
+    a, r = _square_pair(a_val, r_val)
     d = a.shape[0]
     if d > MAX_MATRIX_DIM:
         raise ValueError(f"matrix oracle capped at dimension {MAX_MATRIX_DIM}")
@@ -219,12 +225,6 @@ def _delta_matrix(a: np.ndarray, r: np.ndarray, z: complex) -> np.ndarray:
     return 2.0 * z * r - a @ r - r @ a - r @ r
 
 
-def _resolvent_sq(x: np.ndarray, z: complex) -> np.ndarray:
-    d = x.shape[0]
-    res = np.linalg.inv(z * np.eye(d, dtype=complex) - x)
-    return res @ res
-
-
 def resolvent_lemma_check(
     a_val: np.ndarray, r_val: np.ndarray, z_val: complex, q: int
 ) -> float:
@@ -232,27 +232,28 @@ def resolvent_lemma_check(
 
     g is the squared resolvent.  Returns
     ``max | g(A+R) - g(A+R)(Delta g(A))^q - sum_{j<q} g(A)(Delta g(A))^j |``,
-    which is zero in exact arithmetic for every q >= 1.
+    which is zero in exact arithmetic for every q >= 1.  z - A and
+    z - A - R are conditioned and inverted as one stacked batch.
     """
     if q < 1 or q > 5:
         raise ValueError("q must lie in 1..5")
-    a = np.asarray(a_val, dtype=complex)
-    r = np.asarray(r_val, dtype=complex)
-    d = a.shape[0]
-    eye = np.eye(d, dtype=complex)
-    for x, name in ((a, "z - A"), (a + r, "z - A - R")):
-        cond = np.linalg.cond(z_val * eye - x)
-        if cond >= COND_LIMIT:
+    a, r = _square_pair(a_val, r_val)
+    eye = np.eye(a.shape[0], dtype=complex)
+    shifted = z_val * eye - np.stack((a, a + r))
+    sv = np.linalg.svd(shifted, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds = sv[:, 0] / sv[:, -1]
+    for cond, name in zip(conds, ("z - A", "z - A - R")):
+        if not cond < COND_LIMIT:
             raise ValueError(f"resolvent {name} too ill-conditioned (cond {cond:.2e})")
-    g_a = _resolvent_sq(a, z_val)
-    g_ar = _resolvent_sq(a + r, z_val)
-    delta = _delta_matrix(a, r, z_val)
-    dg = delta @ g_a
-    rhs = g_ar @ np.linalg.matrix_power(dg, q)
-    term = eye
+    res = np.linalg.inv(shifted)
+    g_a, g_ar = res @ res
+    dg = _delta_matrix(a, r, z_val) @ g_a
+    power, series = eye, np.zeros_like(eye)
     for _ in range(q):
-        rhs = rhs + g_a @ term
-        term = term @ dg
+        series += power
+        power = power @ dg
+    rhs = g_ar @ power + g_a @ series
     return float(np.abs(g_ar - rhs).max())
 
 

@@ -14,6 +14,13 @@ integrand divided by u is a polynomial, so one Gauss-Legendre rule
 integrates it exactly.  The rule comes from Golub-Welsch (the eigenvalues
 and eigenvectors of the Legendre Jacobi matrix), so no polynomial module
 is loaded.
+
+Each table is built from one flow.  The moment/cumulant series is a
+forward recursion, so m_p depends on kappa_1..kappa_p only, by the same
+arithmetic at any truncation order: one evolution at the step gives every
+finite difference, and one rule with deg//2 + 2 nodes for the table's top
+degree, one evolution per node, gives the dual pairing of every monomial
+up to that degree.
 """
 
 from __future__ import annotations
@@ -126,20 +133,29 @@ def evolved_moments(m: MomentSequence, theta: float) -> MomentSequence:
     return cumulants_to_moments(evolve_cumulants(moments_to_cumulants(m), theta))
 
 
-def generator_finite_difference(mu: MeasureSpec, p: int, theta_step: float) -> float:
-    """(m_p(P_theta mu) - m_p(mu)) / theta at theta = theta_step.
+def finite_difference_table(mu: MeasureSpec, order: int, theta_step: float) -> list:
+    """(m_p(P_theta mu) - m_p(mu)) / theta for p = 1..order, at theta = theta_step.
 
-    The evolved moments come from the exact cumulant flow, so the only
-    error is the O(theta_step) finite-difference bias against
-    :func:`generator_apply`.
+    One cumulant flow serves every p: m_p depends only on kappa_1..kappa_p,
+    and the series recursion computes it by the same arithmetic at any
+    truncation order, so entry p - 1 equals the order-p table's last entry
+    bit for bit.  The evolved moments are exact, so the only error is the
+    O(theta_step) finite-difference bias against :func:`generator_apply`.
     """
-    if p < 1:
-        raise ValueError("power must be >= 1")
+    if order < 1:
+        raise ValueError("order must be >= 1")
     if not 0 < theta_step <= MAX_THETA_STEP:
         raise ValueError(f"theta_step must lie in (0, {MAX_THETA_STEP:g}]")
-    m0 = mu.moments(max(p, 2))
+    m0 = mu.moments(max(order, 2))
     m1 = evolved_moments(m0, theta_step)
-    return (float(m1[p]) - float(m0[p])) / theta_step
+    return [(float(m1[p]) - float(m0[p])) / theta_step for p in range(1, order + 1)]
+
+
+def generator_finite_difference(mu: MeasureSpec, p: int, theta_step: float) -> float:
+    """Entry p of :func:`finite_difference_table`."""
+    if p < 1:
+        raise ValueError("power must be >= 1")
+    return finite_difference_table(mu, p, theta_step)[p - 1]
 
 
 @lru_cache(maxsize=None)
@@ -156,26 +172,37 @@ def _gauss_legendre(n_nodes: int) -> tuple:
     return tuple(nodes.tolist()), tuple((2.0 * vecs[0] ** 2).tolist())
 
 
-def dual_stein_pairing(mu: MeasureSpec, h) -> float:
-    """Integral over theta of <P_theta mu (x) P_theta mu, L[Dh]>.
+def monomial_pairings(mu: MeasureSpec, deg: int) -> list:
+    """:func:`dual_stein_pairing` of h = x^p for p = 0..deg (entry 0 is 0.0).
 
-    Solves the dual Stein equation: the result equals <s, h> - <mu, h>.
     Under u = e^{-theta} the whole flow, from mu (u = 1) to the semicircle
     (u = 0), is the interval [0, 1].  The moments of P_theta mu are
     polynomials in u of degree at most their order, and the integrand
     vanishes at u = 0 (the semicircle is the fixed point), so integrand/u
-    is a polynomial of degree below deg h.  Gauss-Legendre with
-    deg//2 + 2 nodes on [0, 1] integrates it exactly.
+    is a polynomial of degree below p.  One Gauss-Legendre rule with
+    deg//2 + 2 nodes on [0, 1] integrates it exactly for every p <= deg,
+    with one cumulant evolution per node.
     """
-    coeffs = tuple(float(c) for c in h)
-    deg = len(coeffs) - 1
     if deg > 8:
         raise ValueError("test polynomials capped at degree 8")
     kappa = moments_to_cumulants(mu.moments(max(deg, 2)))
-    total = 0.0
+    table = [0.0] * (deg + 1)
     for xi, wi in zip(*_gauss_legendre(deg // 2 + 2)):
         u = 0.5 * (xi + 1.0)
-        # generator_apply(m, p) is <nu (x) nu, L[D x^p]>, and the pairing is linear in h
+        # generator_apply(m, p) is <nu (x) nu, L[D x^p]>
         m_u = cumulants_to_moments(evolve_cumulants(kappa, -math.log(u)))
-        total += wi * sum(c * generator_apply(m_u, p) for p, c in enumerate(coeffs) if p and c) / u
-    return 0.5 * total
+        for p in range(1, deg + 1):
+            table[p] += 0.5 * wi * generator_apply(m_u, p) / u
+    return table
+
+
+def dual_stein_pairing(mu: MeasureSpec, h) -> float:
+    """Integral over theta of <P_theta mu (x) P_theta mu, L[Dh]>.
+
+    Solves the dual Stein equation: the result equals <s, h> - <mu, h>.
+    The pairing is linear in h, so it is sum_p c_p times the
+    :func:`monomial_pairings` table.
+    """
+    coeffs = tuple(float(c) for c in h)
+    table = monomial_pairings(mu, max(len(coeffs) - 1, 0))
+    return sum(c * t for c, t in zip(coeffs, table))

@@ -141,8 +141,9 @@ class TestEvalMatrix:
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_dimension_guards(self):
-        with pytest.raises(ValueError):
-            ncsymb.eval_matrix(A, np.eye(2), np.eye(3), 0.0)
+        for a, r in ((np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3)))):
+            with pytest.raises(ValueError, match="square matrices of the same dimension"):
+                ncsymb.eval_matrix(A, a, r, 0.0)
         with pytest.raises(ValueError):
             ncsymb.eval_matrix(A, np.eye(13), np.eye(13), 0.0)
 
@@ -170,6 +171,33 @@ class TestResolventLemma:
         r = 0.1 * np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="conditioned"):
             ncsymb.resolvent_lemma_check(a, r, 2.5 + 1e-9j, 1)
+
+    def test_only_shifted_increment_ill_conditioned(self):
+        # z - A is well conditioned; R moves an eigenvalue of A + R onto z
+        a = np.diag([0.0, 1.0]).astype(complex)
+        r = np.diag([2.5 + 1e-12j, 0.0])
+        assert np.linalg.cond(2.5 + 1e-12j - a) < ncsymb.COND_LIMIT
+        with pytest.raises(ValueError, match="z - A - R too ill-conditioned"):
+            ncsymb.resolvent_lemma_check(a, r, 2.5 + 1e-12j, 1)
+
+    def test_z_minus_a_refused_first(self):
+        a = np.diag([2.5, 0.0]).astype(complex)
+        r = np.diag([0.0, 2.5]).astype(complex)
+        with pytest.raises(ValueError, match=r"resolvent z - A too"):
+            ncsymb.resolvent_lemma_check(a, r, 2.5 + 1e-12j, 1)
+
+    @pytest.mark.parametrize(
+        "a, r",
+        [
+            (np.eye(2), np.eye(3)),
+            (np.ones((2, 3)), np.ones((2, 3))),
+            (np.ones(3), np.ones(3)),
+        ],
+        ids=["mismatched", "non-square", "vector"],
+    )
+    def test_bad_shapes_refused(self, a, r):
+        with pytest.raises(ValueError, match="square matrices of the same dimension"):
+            ncsymb.resolvent_lemma_check(a, r, Z_TEST, 1)
 
     def test_q_bounds(self):
         a, r = seeded_pairs(1, 4)[0]

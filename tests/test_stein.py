@@ -1,11 +1,13 @@
 """Stein operator, discrepancy, generator identity, dual equation."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from freestein import cli
 from freestein import momentalg as ma
 from freestein import stein
 from freestein.analytic import MeasureSpec
@@ -231,6 +233,67 @@ class TestDualSteinPairing:
         # the rule covers the whole flow u = e^{-theta} in [0, 1]: no horizon to set
         with pytest.raises(TypeError):
             stein.dual_stein_pairing(mu, (0, 1), theta_max=40.0)
+
+
+class TestFlowTables:
+    @pytest.mark.parametrize("theta_step", [1e-5, 1e-4])
+    def test_fd_table_is_the_per_power_definition(self, theta_step):
+        # oracle: one flow per power p, truncated at max(p, 2)
+        for mu in MEASURE_BATTERY:
+            table = stein.finite_difference_table(mu, 8, theta_step)
+            assert len(table) == 8
+            for p in range(1, 9):
+                m0 = mu.moments(max(p, 2))
+                m1 = stein.evolved_moments(m0, theta_step)
+                assert table[p - 1] == (float(m1[p]) - float(m0[p])) / theta_step, (mu, p)
+
+    def test_fd_table_guards(self):
+        mu = MEASURE_BATTERY[1]
+        with pytest.raises(ValueError, match="order"):
+            stein.finite_difference_table(mu, 0, 1e-5)
+        for theta_step in (0.0, 1e-2):
+            with pytest.raises(ValueError, match="theta_step"):
+                stein.finite_difference_table(mu, 4, theta_step)
+
+    def test_monomial_pairings_solve_dual_equation(self):
+        for mu in MEASURE_BATTERY:
+            table = stein.monomial_pairings(mu, 8)
+            assert len(table) == 9 and table[0] == 0.0
+            for p in range(1, 9):
+                coeffs = [0.0] * p + [1.0]
+                rhs = semicircle_expectation(coeffs) - measure_expectation(mu, coeffs)
+                assert abs(table[p] - rhs) <= 1e-12, (p, mu)
+
+    def test_dual_pairing_is_the_table_combination(self):
+        rng = np.random.default_rng(5)
+        for mu in MEASURE_BATTERY:
+            for deg in range(9):
+                h = rng.normal(size=deg + 1).tolist()
+                table = stein.monomial_pairings(mu, deg)
+                want = sum(c * t for c, t in zip(h, table))
+                assert stein.dual_stein_pairing(mu, h) == want
+
+    def test_stein_check_runs_one_flow_per_table(self, monkeypatch, capsys):
+        calls = {"cumulants_to_moments": 0, "moments_to_cumulants": 0}
+
+        def counted(name):
+            original = getattr(stein, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(stein, name, counted(name))
+        bern = json.dumps({"type": "atomic", "atoms": [[-1.0, 0.5], [1.0, 0.5]]})
+        assert cli.main(["stein-check", "--measure", bern, "--order", "8"]) == 0
+        capsys.readouterr()
+        # one evolution for the generator column, one per Gauss node (6//2 + 2)
+        # for the dual column, and one cumulant transform per table
+        assert calls["cumulants_to_moments"] <= 6
+        assert calls["moments_to_cumulants"] <= 2
 
 
 class TestEvolveCumulants:
