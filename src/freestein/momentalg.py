@@ -57,6 +57,12 @@ class MomentSequence:
     def __getitem__(self, j: int):
         return self.values[j]
 
+    def truncated(self, order: int) -> "MomentSequence":
+        """m_0..m_order; its Hankel matrix is a leading block of this one's."""
+        if not 2 <= order <= self.order:
+            raise ValueError(f"truncation order must lie in 2..{self.order}, got {order}")
+        return MomentSequence(self.values[: order + 1], validate=False)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, MomentSequence) and self.values == other.values
 

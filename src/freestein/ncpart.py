@@ -8,9 +8,11 @@ exhaustive tests stay cheap.
 The lattice is walked lazily as :func:`nc_blocks`, one partition at a
 time as a tuple of shared canonical block tuples, and nothing is kept
 once a partition has been yielded; :class:`NcPartition` objects are
-built only at the public API.  :mod:`freestein.momentalg` solves
-power-series equations for its transforms and mixed moments and walks
-no lattice.
+built only at the public API.  The walk places 1..n-1 and then gives n
+each of its 1 + #open choices, so :func:`count_nc` (``nc count``) counts
+the leaves at the last element without building them.
+:mod:`freestein.momentalg` solves power-series equations for its
+transforms and mixed moments and walks no lattice.
 
 The lattice maps read one cycle count.  P_pi cycles each block of pi in
 increasing order, and gamma = (1 2 ... n) is P of the one-block partition.
@@ -164,30 +166,56 @@ def nc_blocks(n: int):
     """NC(n) as tuples of canonical block tuples, lazily, in descending RGS order.
 
     The bound is checked at the call; the walk then yields one partition at
-    a time and keeps none of them, so counting NC(n) holds no lattice.
-    Block tuples are shared between consecutive partitions.
+    a time and keeps none of them.  Block tuples are shared between
+    consecutive partitions.
 
     0-hat comes first and 1-hat last.  Elements are placed left to right.
     A block stays open while no later element has joined a block created
     before it; element i either opens a new block or joins an open block,
     which closes every block opened after that one.  Trying the new block
     first and then the open blocks innermost first tries the RGS labels of
-    i in descending order.
+    i in descending order.  Each placement of 1..n-1 is expanded into its
+    1 + #open leaves, one per choice of n.
     """
     _check_bound(n)
-    return _walk_nc(n)
+    return _leaves(n)
 
 
-def _walk_nc(n: int):
-    """The walk of :func:`nc_blocks`, depth first in one frame with an explicit stack.
+def count_nc(n: int) -> int:
+    """|NC(n)| from the walk of :func:`nc_blocks`, counted at the last element.
 
-    ``choice`` at element i < n is 0 for a new block and k for the k-th
-    open block counted from the innermost; the stack holds, per placed
-    element, its open blocks, its choice and the block tuple it replaced.
+    Element n has 1 + #open choices after each placement of 1..n-1, so the
+    sum over placements counts every leaf without building one.
     """
-    blocks = []  # in creation order, i.e. by least element
-    stack = []
+    _check_bound(n)
+    return sum(1 + len(opened) for opened in _placements(n, []))
+
+
+def _leaves(n: int):
+    """The walk of :func:`nc_blocks`: each placement, then n in each of its choices."""
+    blocks = []
     last = (n,)
+    for opened in _placements(n, blocks):
+        yield (*blocks, last)
+        for j in reversed(opened):
+            b = blocks[j]
+            blocks[j] = b + last
+            yield tuple(blocks)
+            blocks[j] = b
+
+
+def _placements(n: int, blocks: list):
+    """Placements of 1..n-1, depth first in one frame, yielded as their open blocks.
+
+    The walk keeps the placed blocks in ``blocks``, an empty list from the
+    caller, in creation order, i.e. by least element, and updates it in
+    place between yields; the open blocks are indices into it, outermost
+    first.  ``choice`` at element i < n is 0 for a new block and k for the
+    k-th open block counted from the innermost; the explicit stack holds,
+    per placed element, its open blocks, its choice and the block tuple it
+    replaced.
+    """
+    stack = []
     i, opened, choice = 1, (), 0
     while True:
         while i < n:  # place i by its choice, then every later element by choice 0
@@ -203,12 +231,7 @@ def _walk_nc(n: int):
                 opened += (len(blocks) - 1,)
             i += 1
             choice = 0
-        yield (*blocks, last)  # the choices of the last element are the leaves
-        for j in reversed(opened):
-            b = blocks[j]
-            blocks[j] = b + last
-            yield tuple(blocks)
-            blocks[j] = b
+        yield opened
         while stack:  # back up to the deepest element with a choice left
             i -= 1
             opened, choice, b = stack.pop()

@@ -20,6 +20,8 @@ on seeded matrix batteries.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 MAX_TERMS = 100_000
@@ -238,17 +240,14 @@ def resolvent_lemma_check(
     if q < 1 or q > 5:
         raise ValueError("q must lie in 1..5")
     a, r = _square_pair(a_val, r_val)
-    eye = np.eye(a.shape[0], dtype=complex)
-    shifted = z_val * eye - np.stack((a, a + r))
-    sv = np.linalg.svd(shifted, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conds = sv[:, 0] / sv[:, -1]
+    shifted, conds = _shifted_pair(a, r, z_val)
     for cond, name in zip(conds, ("z - A", "z - A - R")):
         if not cond < COND_LIMIT:
             raise ValueError(f"resolvent {name} too ill-conditioned (cond {cond:.2e})")
     res = np.linalg.inv(shifted)
     g_a, g_ar = res @ res
     dg = _delta_matrix(a, r, z_val) @ g_a
+    eye = np.eye(a.shape[0], dtype=complex)
     power, series = eye, np.zeros_like(eye)
     for _ in range(q):
         series += power
@@ -257,31 +256,43 @@ def resolvent_lemma_check(
     return float(np.abs(g_ar - rhs).max())
 
 
+def _shifted_pair(a: np.ndarray, r: np.ndarray, z: complex) -> tuple:
+    """z - A and z - A - R as one stack, with their 2-norm condition numbers.
+
+    One batched SVD gives both; a singular matrix reads inf (or nan), which
+    no ``cond < COND_LIMIT`` test accepts.
+    """
+    shifted = z * np.eye(a.shape[0], dtype=complex) - np.stack((a, a + r))
+    sv = np.linalg.svd(shifted, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return shifted, sv[:, 0] / sv[:, -1]
+
+
 def random_matrix_battery(count: int = 50, dim: int = 6, seed: int = 20240901):
     """Seeded (A, R) pairs: unit-disc entries scaled by 1/dim, A Hermitian.
 
     The 1/dim scaling keeps norms of Delta g(A) near unity, so the q = 5
     residual stays at machine level; pairs whose resolvents at
-    z = 2.5 + 0.5i are ill-conditioned are resampled.
+    z = 2.5 + 0.5i are ill-conditioned are resampled.  The draws come from
+    ``random.Random(seed)``, so the battery needs no ``numpy.random``.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     z = 2.5 + 0.5j
     out = []
     while len(out) < count:
         m1 = _disc_matrix(rng, dim) / dim
-        m2 = _disc_matrix(rng, dim) / dim
+        r = _disc_matrix(rng, dim) / dim
         a = 0.5 * (m1 + m1.conj().T)
-        r = m2
-        eye = np.eye(dim)
-        if (
-            np.linalg.cond(z * eye - a) < COND_LIMIT
-            and np.linalg.cond(z * eye - a - r) < COND_LIMIT
-        ):
+        if (_shifted_pair(a, r, z)[1] < COND_LIMIT).all():
             out.append((a, r))
     return out
 
 
 def _disc_matrix(rng, dim: int) -> np.ndarray:
-    radius = np.sqrt(rng.uniform(0.0, 1.0, size=(dim, dim)))
-    angle = rng.uniform(0.0, 2.0 * np.pi, size=(dim, dim))
-    return radius * np.exp(1j * angle)
+    """Entries uniform on the unit disc from 2 dim^2 draws of ``rng.random()``.
+
+    The first dim^2 uniforms give the radii sqrt(u), the next dim^2 the
+    angles 2 pi u; ``rng`` may be a ``random.Random`` or a numpy Generator.
+    """
+    u = np.array([rng.random() for _ in range(2 * dim * dim)]).reshape(2, dim, dim)
+    return np.sqrt(u[0]) * np.exp(1j * (2.0 * np.pi * u[1]))

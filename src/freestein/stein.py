@@ -133,29 +133,31 @@ def evolved_moments(m: MomentSequence, theta: float) -> MomentSequence:
     return cumulants_to_moments(evolve_cumulants(moments_to_cumulants(m), theta))
 
 
-def finite_difference_table(mu: MeasureSpec, order: int, theta_step: float) -> list:
+def finite_difference_table(m: MomentSequence, order: int, theta_step: float) -> list:
     """(m_p(P_theta mu) - m_p(mu)) / theta for p = 1..order, at theta = theta_step.
 
-    One cumulant flow serves every p: m_p depends only on kappa_1..kappa_p,
-    and the series recursion computes it by the same arithmetic at any
-    truncation order, so entry p - 1 equals the order-p table's last entry
-    bit for bit.  The evolved moments are exact, so the only error is the
-    O(theta_step) finite-difference bias against :func:`generator_apply`.
+    ``m`` holds the moments of mu to at least ``order``; the flow runs on
+    its prefix to max(order, 2).  One cumulant flow serves every p: m_p
+    depends only on kappa_1..kappa_p, and the series recursion computes it
+    by the same arithmetic at any truncation order, so entry p - 1 equals
+    the order-p table's last entry bit for bit.  The evolved moments are
+    exact, so the only error is the O(theta_step) finite-difference bias
+    against :func:`generator_apply`.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if not 1 <= order <= m.order:
+        raise ValueError(f"order must lie in 1..{m.order}, the order of the moments")
     if not 0 < theta_step <= MAX_THETA_STEP:
         raise ValueError(f"theta_step must lie in (0, {MAX_THETA_STEP:g}]")
-    m0 = mu.moments(max(order, 2))
+    m0 = m.truncated(max(order, 2))
     m1 = evolved_moments(m0, theta_step)
     return [(float(m1[p]) - float(m0[p])) / theta_step for p in range(1, order + 1)]
 
 
 def generator_finite_difference(mu: MeasureSpec, p: int, theta_step: float) -> float:
-    """Entry p of :func:`finite_difference_table`."""
+    """Entry p of :func:`finite_difference_table` for the law mu."""
     if p < 1:
         raise ValueError("power must be >= 1")
-    return finite_difference_table(mu, p, theta_step)[p - 1]
+    return finite_difference_table(mu.moments(max(p, 2)), p, theta_step)[p - 1]
 
 
 @lru_cache(maxsize=None)
@@ -172,9 +174,11 @@ def _gauss_legendre(n_nodes: int) -> tuple:
     return tuple(nodes.tolist()), tuple((2.0 * vecs[0] ** 2).tolist())
 
 
-def monomial_pairings(mu: MeasureSpec, deg: int) -> list:
+def monomial_pairings(m: MomentSequence, deg: int) -> list:
     """:func:`dual_stein_pairing` of h = x^p for p = 0..deg (entry 0 is 0.0).
 
+    ``m`` holds the moments of mu to at least ``deg``; the flow starts from
+    its prefix to max(deg, 2).
     Under u = e^{-theta} the whole flow, from mu (u = 1) to the semicircle
     (u = 0), is the interval [0, 1].  The moments of P_theta mu are
     polynomials in u of degree at most their order, and the integrand
@@ -185,7 +189,7 @@ def monomial_pairings(mu: MeasureSpec, deg: int) -> list:
     """
     if deg > 8:
         raise ValueError("test polynomials capped at degree 8")
-    kappa = moments_to_cumulants(mu.moments(max(deg, 2)))
+    kappa = moments_to_cumulants(m.truncated(max(deg, 2)))
     table = [0.0] * (deg + 1)
     for xi, wi in zip(*_gauss_legendre(deg // 2 + 2)):
         u = 0.5 * (xi + 1.0)
@@ -204,5 +208,6 @@ def dual_stein_pairing(mu: MeasureSpec, h) -> float:
     :func:`monomial_pairings` table.
     """
     coeffs = tuple(float(c) for c in h)
-    table = monomial_pairings(mu, max(len(coeffs) - 1, 0))
+    deg = max(len(coeffs) - 1, 0)
+    table = monomial_pairings(mu.moments(max(deg, 2)), deg)
     return sum(c * t for c, t in zip(coeffs, table))

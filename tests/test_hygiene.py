@@ -7,7 +7,8 @@ name (one leading underscore) of a module is referenced somewhere in the
 package beyond its definition, so that helpers whose last caller went
 do not linger as test-only code.  The exact stack's command line loads
 no module it does not need: ``numpy.polynomial`` (a few milliseconds) is
-not imported by ``stein-check``.  The version is written once, as
+not imported by ``stein-check``, nor ``numpy.random`` (about 6 MB) by the
+seeded matrix battery.  The version is written once, as
 ``freestein.__version__``, and ``pyproject.toml`` reads it from there.
 """
 
@@ -118,6 +119,17 @@ def test_stein_check_does_not_import_numpy_polynomial():
 
 def test_import_log_sees_numpy_polynomial():
     assert "numpy.polynomial" in imported_modules("-c", "import numpy.polynomial")
+
+
+def test_matrix_battery_does_not_import_numpy_random():
+    draw = "from freestein import ncsymb; ncsymb.random_matrix_battery(5, 6)"
+    modules = imported_modules("-c", draw)
+    assert "freestein.ncsymb" in modules
+    assert not {m for m in modules if m.startswith("numpy.random")}
+
+
+def test_import_log_sees_numpy_random():
+    assert "numpy.random" in imported_modules("-c", "import numpy.random")
 
 
 def test_version_has_one_source():

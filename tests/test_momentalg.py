@@ -105,6 +105,14 @@ class TestMomentSequenceValidation:
     def test_genuine_measure_accepted(self):
         MomentSequence((1, 0, 1, 0, 2, 0, 5))
 
+    def test_truncated_is_the_prefix(self):
+        m = MomentSequence((1, 0, 1, 0, 2, 0, 5))
+        assert m.truncated(4) == MomentSequence((1, 0, 1, 0, 2))
+        assert m.truncated(6) == m
+        for order in (1, 7):
+            with pytest.raises(ValueError, match="truncation order"):
+                m.truncated(order)
+
     @pytest.mark.parametrize(
         "atoms",
         [{0: Fraction(1, 2), 4: Fraction(1, 2)}, {-2: Fraction(1, 3), 0: Fraction(1, 3), 5: Fraction(1, 3)}],

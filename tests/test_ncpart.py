@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freestein import ncpart
+from freestein import cli, ncpart
 from freestein.ncpart import NcPartition
 
 # B_0..B_10 and C_0..C_10, by hand / Bell triangle
@@ -211,6 +211,11 @@ class TestEnumeration:
         want = recursive_nc(n)
         assert list(ncpart.nc_blocks(n)) == want
         assert [p.blocks for p in ncpart.enumerate_nc(n)] == want
+        assert ncpart.count_nc(n) == len(want)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_count_nc_is_catalan(self, n):
+        assert ncpart.count_nc(n) == math.comb(2 * n, n) // (n + 1)
 
     def test_nc_blocks_is_a_fresh_lazy_walk(self):
         walk = ncpart.nc_blocks(5)
@@ -223,6 +228,22 @@ class TestEnumeration:
     def test_nc_blocks_bounds(self, n):
         with pytest.raises(ValueError):
             ncpart.nc_blocks(n)
+        with pytest.raises(ValueError):
+            ncpart.count_nc(n)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_cli_count_output(self, n, capsys):
+        # Catalan from the binomial, Bell as a sum of Stirling numbers of the
+        # second kind; the walk's count is printed for n <= 12 only
+        stirling = [1]
+        for _ in range(n):
+            stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, len(stirling))] + [1]
+        catalan = math.comb(2 * n, n) // (n + 1)
+        want = f"n={n} |NC(n)|={catalan} Bell(n)={sum(stirling)}\n"
+        if n <= 12:
+            want += f"enumerated={catalan}\n"
+        assert cli.main(["nc", "count", "-n", str(n)]) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestCrossing:

@@ -240,25 +240,29 @@ class TestFlowTables:
     def test_fd_table_is_the_per_power_definition(self, theta_step):
         # oracle: one flow per power p, truncated at max(p, 2)
         for mu in MEASURE_BATTERY:
-            table = stein.finite_difference_table(mu, 8, theta_step)
+            table = stein.finite_difference_table(mu.moments(8), 8, theta_step)
             assert len(table) == 8
+            # a longer moment sequence is read as its prefix
+            assert stein.finite_difference_table(mu.moments(12), 8, theta_step) == table
             for p in range(1, 9):
                 m0 = mu.moments(max(p, 2))
                 m1 = stein.evolved_moments(m0, theta_step)
                 assert table[p - 1] == (float(m1[p]) - float(m0[p])) / theta_step, (mu, p)
 
     def test_fd_table_guards(self):
-        mu = MEASURE_BATTERY[1]
-        with pytest.raises(ValueError, match="order"):
-            stein.finite_difference_table(mu, 0, 1e-5)
+        m = MEASURE_BATTERY[1].moments(4)
+        for order in (0, 5):
+            with pytest.raises(ValueError, match="order"):
+                stein.finite_difference_table(m, order, 1e-5)
         for theta_step in (0.0, 1e-2):
             with pytest.raises(ValueError, match="theta_step"):
-                stein.finite_difference_table(mu, 4, theta_step)
+                stein.finite_difference_table(m, 4, theta_step)
 
     def test_monomial_pairings_solve_dual_equation(self):
         for mu in MEASURE_BATTERY:
-            table = stein.monomial_pairings(mu, 8)
+            table = stein.monomial_pairings(mu.moments(8), 8)
             assert len(table) == 9 and table[0] == 0.0
+            assert stein.monomial_pairings(mu.moments(12), 8) == table
             for p in range(1, 9):
                 coeffs = [0.0] * p + [1.0]
                 rhs = semicircle_expectation(coeffs) - measure_expectation(mu, coeffs)
@@ -269,7 +273,7 @@ class TestFlowTables:
         for mu in MEASURE_BATTERY:
             for deg in range(9):
                 h = rng.normal(size=deg + 1).tolist()
-                table = stein.monomial_pairings(mu, deg)
+                table = stein.monomial_pairings(mu.moments(max(deg, 2)), deg)
                 want = sum(c * t for c, t in zip(h, table))
                 assert stein.dual_stein_pairing(mu, h) == want
 
