@@ -4,12 +4,12 @@ One vectorised numpy backend: each solver iterates all query points at
 once under an active-point mask.  ``BACKEND`` names it for provenance
 records.  Measures enter as a flat descriptor ``(kind, c0, c1, xs, ys)``:
 
-* kind 0: atomic       -- xs positions, ys weights
-* kind 1: semicircle   -- c0 mean, c1 variance
-* kind 2: grid density -- xs uniform nodes, ys values times trapezoid weights
+* kind 1: semicircle -- c0 mean, c1 variance, one closed form
+* kind 0: atoms or a grid density -- xs positions or uniform nodes, ys
+  weights or values times trapezoid weights
 
-Atoms and grids share one weighted node sum, G(w) = sum ys / (w - xs),
-so kind 2 differs from kind 0 only as a label.
+Atoms and grids share one weighted node sum, G(w) = sum ys / (w - xs);
+the kernels branch only on ``kind == 1``.
 
 Both solvers run one Newton loop on w = Phi(w), :func:`_solve`, with one
 stop test, the tolerance ``TOL``, the step cap ``MAX_ITER`` and one

@@ -13,6 +13,7 @@ The moment extractor closes the loop with the cumulant engine of
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -31,11 +32,25 @@ RESIDUAL_ACCEPT = 1e-9
 MIN_GRID_POINTS = 64
 
 
+def check_window(lo: float, hi: float, n_points: int | None = None) -> None:
+    """The one window rule: finite lo < hi with a finite width hi - lo.
+
+    ``n_points``, when given, must also be at least ``MIN_GRID_POINTS``.
+    Raises ValueError; the command line and the experiment config turn it
+    into a configuration error naming their flag or key.
+    """
+    if not (-math.inf < lo < hi < math.inf and math.isfinite(hi - lo)):
+        raise ValueError(f"need finite lo < hi with a finite width hi - lo, got {lo} {hi}")
+    if n_points is not None and n_points < MIN_GRID_POINTS:
+        raise ValueError(f"need at least {MIN_GRID_POINTS} grid points, got {n_points}")
+
+
 class GridDensity:
     """Nonnegative density values on a uniform grid over [lo, hi].
 
     Values in [-1e-12, 0) are clamped to zero at construction; anything
-    more negative, and any non-finite value or window end, is rejected.
+    more negative, any non-finite value and a window that fails
+    :func:`check_window` are rejected.
     ``weights`` is the trapezoid rule on the grid, the one quadrature behind
     ``mass``, the grid moments and kernels, and the grid distances.
     """
@@ -43,8 +58,7 @@ class GridDensity:
     __slots__ = ("lo", "hi", "values")
 
     def __init__(self, lo: float, hi: float, values):
-        if not -math.inf < lo < hi < math.inf:
-            raise ValueError(f"need finite lo < hi, got {lo} {hi}")
+        check_window(lo, hi)
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or len(vals) < 2:
             raise ValueError("density values must be a 1-d array of length >= 2")
@@ -156,19 +170,20 @@ class MeasureSpec:
     def descriptor(self) -> tuple:
         """Flat (kind, c0, c1, xs, ys) encoding consumed by the kernels.
 
-        Atoms give positions and weights (kind 0), a semicircle its mean
-        and variance (kind 1).  A grid (kind 2) gives its nodes and its
-        values times its trapezoid ``weights``, so the kernels sum atoms and
-        grid nodes alike.
+        A semicircle gives its mean and variance (kind 1).  Atoms and grids
+        share kind 0, one weighted node sum: atoms give positions and
+        weights, a grid its nodes and its values times its trapezoid
+        ``weights``.
         """
-        empty = np.empty(0, dtype=float)
-        if self.kind == "atomic":
-            pos = np.array([p for p, _ in self.atoms], dtype=float)
-            wts = np.array([w for _, w in self.atoms], dtype=float)
-            return (0, 0.0, 0.0, pos, wts)
         if self.kind == "semicircle":
+            empty = np.empty(0, dtype=float)
             return (1, self.mean, self.variance, empty, empty)
-        return (2, 0.0, 0.0, self.grid.x, self.grid.values * self.grid.weights)
+        if self.kind == "atomic":
+            xs = np.array([p for p, _ in self.atoms], dtype=float)
+            ys = np.array([w for _, w in self.atoms], dtype=float)
+        else:
+            xs, ys = self.grid.x, self.grid.values * self.grid.weights
+        return (0, 0.0, 0.0, xs, ys)
 
     @property
     def support_radius(self) -> float:
@@ -205,16 +220,17 @@ class MeasureSpec:
             return momentalg.cumulants_to_moments(
                 momentalg.FreeCumulantSequence(kappa)
             )
-        x, wv = self.grid.x, self.grid.values * self.grid.weights
+        _, _, _, x, wv = self.descriptor()
         vals = [float(wv @ x**j) for j in range(order + 1)]
         vals[0] = 1.0
         return momentalg.MomentSequence(vals, validate=False)
 
 
 def _as_upper_half(z):
+    """z as a 1-d complex array; refuses a point that is not finite with Im z > 0."""
     arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if np.any(arr.imag <= 0):
-        raise ValueError("Cauchy transforms are evaluated on the upper half plane")
+    if not (np.isfinite(arr).all() and (arr.imag > 0).all()):
+        raise ValueError("Cauchy transforms are evaluated at finite points of the upper half plane")
     return arr
 
 
@@ -273,8 +289,9 @@ class NFoldEvaluator(MeasureEvaluator):
     """
 
     def __init__(self, base: MeasureSpec, n: int, scale: float = 1.0):
-        if n < 1:
-            raise ValueError("n must be a positive integer")
+        whole = isinstance(n, numbers.Integral) or isinstance(n, float) and n.is_integer()
+        if isinstance(n, bool) or not whole or n < 1:
+            raise ValueError(f"n must be a positive integer (4 or 4.0), got {n!r}")
         super().__init__(base.dilate(scale) if scale != 1.0 else base)
         self.n = int(n)
         self.support_radius = self.n * self.base.support_radius
@@ -332,12 +349,11 @@ def stieltjes_density(evaluator, lo: float, hi: float, n_points: int = 2001) -> 
     Evaluates at eps in {4e-3, 2e-3, 1e-3}, extrapolates quadratically to
     eps = 0, clamps at zero.  A recovered mass outside [0.97, 1.03] raises
     a :class:`MassRecoveryWarning` (atom in the law, or window too small);
-    total-variation distances are refused downstream in that case.
+    total-variation distances are refused downstream in that case.  A
+    window or point count that fails :func:`check_window` raises ValueError
+    before any solve.
     """
-    if not hi > lo:
-        raise ValueError("need hi > lo")
-    if n_points < MIN_GRID_POINTS:
-        raise ValueError(f"need at least {MIN_GRID_POINTS} grid points")
+    check_window(lo, hi, n_points)
     xs = np.linspace(lo, hi, n_points)
     f = np.zeros(n_points)
     for eps, wgt in zip(EPS_LADDER, _LADDER_W):

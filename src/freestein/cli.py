@@ -18,12 +18,7 @@ from pathlib import Path
 
 from . import experiment as ex
 from . import ncpart, stein
-from .analytic import (
-    MIN_GRID_POINTS,
-    MeasureSpec,
-    nfold_convolve,
-    stieltjes_density,
-)
+from .analytic import MeasureSpec, check_window, nfold_convolve, stieltjes_density
 from .errors import ConfigError, ConvergenceError, FitRefusalError
 from .momentalg import MAX_ORDER, moments_to_cumulants, semicircle_moments
 
@@ -70,7 +65,6 @@ def _require_output_path(path) -> None:
 
 def _cmd_convolve(args) -> int:
     _require(args, "n", 1)
-    _require(args, "points", MIN_GRID_POINTS)
     _require_output_path(args.out)
     try:
         scale = 1.0 / math.sqrt(args.n) if args.scale == "auto" else float(args.scale)
@@ -80,16 +74,13 @@ def _cmd_convolve(args) -> int:
         raise ConfigError(
             f"convolve needs --scale auto or a finite non-zero number, got {args.scale}"
         )
-    if args.window:
-        lo, hi = args.window
-        if not (-math.inf < lo < hi < math.inf and math.isfinite(hi - lo)):
-            raise ConfigError(
-                f"convolve needs a finite --window LO HI, LO < HI, HI - LO finite, got {lo} {hi}"
-            )
     mu = _load_measure(args.measure)
     ev = nfold_convolve(mu, args.n, scale)
-    if not args.window:
-        lo, hi = -(ev.support_radius + 0.5), ev.support_radius + 0.5
+    lo, hi = args.window or (-(ev.support_radius + 0.5), ev.support_radius + 0.5)
+    try:
+        check_window(lo, hi, args.points)
+    except ValueError as exc:
+        raise ConfigError(f"convolve --window LO HI / --points: {exc}") from exc
     density = stieltjes_density(ev, lo, hi, args.points)
     density.to_csv(args.out)
     print(

@@ -23,9 +23,9 @@ from . import __version__
 from . import metrics as met
 from .analytic import (
     DENSITY_METHOD,
-    MIN_GRID_POINTS,
     GridDensity,
     MeasureSpec,
+    check_window,
     nfold_convolve,
     semicircle_density,
     stieltjes_density,
@@ -66,17 +66,20 @@ class ExperimentConfig:
         self.metrics = tuple(ms)
         if not isinstance(self.output, (str, os.PathLike)):
             raise ConfigError(f"output must be a file path, got {self.output!r}")
-        if not _whole(self.grid_points) or self.grid_points < MIN_GRID_POINTS:
-            raise ConfigError(
-                f"grid points must be an integer >= {MIN_GRID_POINTS}, got {self.grid_points!r}"
-            )
+        if not _whole(self.grid_points):
+            raise ConfigError(f"grid.n_points must be an integer, got {self.grid_points!r}")
         self.grid_points = int(self.grid_points)
-        if self.window is not None:
-            w = self.window
-            two = isinstance(w, (list, tuple)) and len(w) == 2 and all(map(_number, w))
-            if not (two and w[0] < w[1]):
-                raise ConfigError(f"window must be two finite numbers lo < hi, got {w!r}")
+        w = self.window
+        if w is not None:
+            if not (isinstance(w, (list, tuple)) and len(w) == 2 and all(map(_number, w))):
+                raise ConfigError(f"grid.window must be two finite numbers, got {w!r}")
             self.window = (float(w[0]), float(w[1]))
+        try:
+            # automatic windows are finite by construction; without a pinned
+            # window only the point count is checked
+            check_window(*(self.window or (-1.0, 1.0)), self.grid_points)
+        except ValueError as exc:
+            raise ConfigError(f"grid.window / grid.n_points: {exc}") from exc
         if not isinstance(self.normalize, bool):
             raise ConfigError(f"normalize must be true or false, got {self.normalize!r}")
         if self.normalize:

@@ -22,6 +22,17 @@ def arcsine_g(z):
     return 1.0 / (np.sqrt(z - 2) * np.sqrt(z + 2))
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Make any subordination solve fail the test: a refusal must come first."""
+
+    def solve(*args):
+        raise AssertionError("a subordination solve ran")
+
+    monkeypatch.setattr(_kernels, "nfold_omega", solve)
+    monkeypatch.setattr(_kernels, "pair_omega", solve)
+
+
 def unit_grid(g: an.GridDensity) -> an.GridDensity:
     return an.GridDensity(g.lo, g.hi, np.asarray(g.values) / g.mass)
 
@@ -110,6 +121,18 @@ class TestCauchyTransform:
     def test_half_plane_guard(self):
         with pytest.raises(ValueError, match="half plane"):
             an.MeasureEvaluator(SEMI).cauchy(1.0 - 1j)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [complex(math.nan, 1.0), complex(0.0, math.nan), complex(math.inf, 1.0), complex(0.0, math.inf)],
+        ids=["real-nan", "imag-nan", "real-inf", "imag-inf"],
+    )
+    def test_non_finite_points_refused_before_the_solve(self, bad, no_solve):
+        # a NaN point that reached the solver would run it to its step cap and
+        # end in ConvergenceError (residual nan)
+        ev = an.nfold_convolve(BERN, 8, 1 / math.sqrt(8))
+        with pytest.raises(ValueError, match="half plane"):
+            ev.cauchy(np.array([bad, 0.5 + 0.01j]))
 
     def test_grid_measure_matches_closed_form(self):
         grid = unit_grid(an.semicircle_density(-2.05, 2.05, 8001))
@@ -226,6 +249,17 @@ class TestNFold:
         with pytest.raises(ValueError):
             an.nfold_convolve(BERN, 0, 1.0)
 
+    @pytest.mark.parametrize(
+        "n", [2.7, True, "4", math.inf, math.nan], ids=["fraction", "bool", "text", "inf", "nan"]
+    )
+    def test_n_must_be_whole(self, n):
+        # int(n) would truncate 2.7 to 2
+        with pytest.raises(ValueError, match="positive integer"):
+            an.nfold_convolve(BERN, n, 0.5)
+
+    def test_whole_float_n_is_the_integer(self):
+        assert an.nfold_convolve(BERN, 4.0, 0.5).n == an.nfold_convolve(BERN, 4, 0.5).n == 4
+
 
 class TestStieltjesDensity:
     def test_semicircle_recovery(self):
@@ -253,6 +287,18 @@ class TestStieltjesDensity:
             an.stieltjes_density(ev, 2.0, -2.0, 201)
         with pytest.raises(ValueError):
             an.stieltjes_density(ev, -2.0, 2.0, 32)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-1.0, math.inf), (math.nan, 1.0), (-1e308, 1e308), (1.0, 1.0)],
+        ids=["hi-inf", "lo-nan", "width-overflows", "empty"],
+    )
+    def test_bad_window_refused_before_the_solve(self, lo, hi, no_solve):
+        # (-1, inf) and an overflowing width would reach the solver and end in
+        # ConvergenceError
+        ev = an.nfold_convolve(BERN, 8, 1 / math.sqrt(8))
+        with pytest.raises(ValueError, match="finite width"):
+            an.stieltjes_density(ev, lo, hi, 201)
 
 
 class TestGridDensity:

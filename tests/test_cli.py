@@ -464,6 +464,7 @@ class TestBerryEsseenAndFit:
         "field",
         [
             '"grid": {"window": [-3, 1e999]}',
+            '"grid": {"window": [-1e308, 1e308]}',
             '"grid": {"window": [0]}',
             '"grid": {"window": ["a", 1]}',
             '"normalize": "false"',
@@ -479,7 +480,7 @@ class TestBerryEsseenAndFit:
             '"base_measure": {"type": "atomic", "atoms": [[1' + "0" * 400 + ", 1]]}",
         ],
         ids=[
-            "window-inf", "window-one-number", "window-text", "normalize-text",
+            "window-inf", "window-width-overflows", "window-one-number", "window-text", "normalize-text",
             "normalize-number", "n-values-fractional", "n-values-bool",
             "n-points-fractional", "n-points-text", "grid-number", "metrics-number",
             "output-number", "n-points-huge", "atom-huge",
@@ -498,6 +499,7 @@ class TestBerryEsseenAndFit:
         assert captured.out == ""
         assert "config error" in captured.err
         assert not out.exists()
+        assert not (tmp_path / "rates.csv.meta.json").exists()
 
     @pytest.mark.parametrize("normalize", [True, False])
     def test_non_finite_base_exits_2_before_output(self, tmp_path, normalize, capsys):

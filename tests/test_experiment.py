@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from freestein import _kernels
 from freestein import experiment as ex
 from freestein.analytic import GridDensity, MeasureSpec
 from freestein.errors import ConfigError, ConvergenceError, FitRefusalError, MassRecoveryWarning
@@ -410,6 +411,15 @@ class TestFloor:
     def test_floor_is_small(self):
         rep = ex.discretization_floor(grid_points=1001)
         assert rep.d_w1 < 1e-3 and rep.d_kol < 1e-3
+
+    def test_overflowing_window_refused_before_the_solve(self, monkeypatch):
+        # the width hi - lo overflows: refused before the solve, not after it
+        def solve(*args):
+            raise AssertionError("a subordination solve ran")
+
+        monkeypatch.setattr(_kernels, "nfold_omega", solve)
+        with pytest.raises(ValueError, match="finite width"):
+            ex.discretization_floor(window=(-1e308, 1e308))
 
     def test_mass_warning_is_silenced_only_per_row(self, tmp_path):
         # a window that misses mass warns through the floor; an experiment row

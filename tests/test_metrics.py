@@ -211,3 +211,13 @@ class TestDistanceReport:
         rep = met.distance_report(SEEDED_BATTERY[0], half)
         assert rep.d_tv is None
         assert rep.mass_deficit > 0.1
+
+    @pytest.mark.parametrize("i", range(len(SEEDED_BATTERY)))
+    @pytest.mark.parametrize("j", range(len(SEEDED_BATTERY)))
+    def test_single_metric_views_are_its_fields(self, i, j):
+        # one implementation: each view reads its field, bit for bit
+        a, b = SEEDED_BATTERY[i], SEEDED_BATTERY[j]
+        rep = met.distance_report(a, b)
+        views = (met.kolmogorov(a, b), met.total_variation(a, b), met.wasserstein1(a, b))
+        fields = (rep.d_kol, rep.d_tv, rep.d_w1)
+        assert list(map(float.hex, views)) == list(map(float.hex, fields))
