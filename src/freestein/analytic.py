@@ -30,19 +30,37 @@ DENSITY_METHOD = "stieltjes-eps-ladder"
 MASS_WARN_BAND = (0.97, 1.03)
 RESIDUAL_ACCEPT = 1e-9
 MIN_GRID_POINTS = 64
+MAX_GRID_POINTS = 20_001
+# n-fold rows agree with a cancellation-free solve to 1e-7 relative up to here
+MAX_N = 10**6
 
 
-def check_window(lo: float, hi: float, n_points: int | None = None) -> None:
-    """The one window rule: finite lo < hi with a finite width hi - lo.
+def _real(v) -> bool:
+    """The one test for a finite real; bools, strings and ints beyond float range fail."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an int too large for a float
+        return False
 
-    ``n_points``, when given, must also be at least ``MIN_GRID_POINTS``.
-    Raises ValueError; the command line and the experiment config turn it
-    into a configuration error naming their flag or key.
+
+def check_count(v, what: str, lo: int, hi: int) -> int:
+    """The one count rule: a whole number in [lo, hi], 4 and 4.0 giving 4; else ValueError."""
+    if not (_real(v) and float(v).is_integer() and lo <= v <= hi):
+        raise ValueError(f"{what} must be a whole number in [{lo}, {hi}], got {v!r}")
+    return int(v)
+
+
+def check_window(lo, hi, n_points=None) -> int | None:
+    """The one window rule: finite reals lo < hi with a finite width hi - lo,
+    and a count ``n_points`` in [MIN_GRID_POINTS, MAX_GRID_POINTS] when given,
+    returned as an int.  Raises ValueError; the command line and the
+    experiment config turn it into a configuration error naming their key.
     """
-    if not (-math.inf < lo < hi < math.inf and math.isfinite(hi - lo)):
-        raise ValueError(f"need finite lo < hi with a finite width hi - lo, got {lo} {hi}")
-    if n_points is not None and n_points < MIN_GRID_POINTS:
-        raise ValueError(f"need at least {MIN_GRID_POINTS} grid points, got {n_points}")
+    if not (_real(lo) and _real(hi) and lo < hi and math.isfinite(float(hi) - float(lo))):
+        raise ValueError(f"need finite lo < hi with a finite width hi - lo, got {lo!r} {hi!r}")
+    if n_points is not None:
+        return check_count(n_points, "the grid point count", MIN_GRID_POINTS, MAX_GRID_POINTS)
+    return None
 
 
 class GridDensity:
@@ -289,11 +307,8 @@ class NFoldEvaluator(MeasureEvaluator):
     """
 
     def __init__(self, base: MeasureSpec, n: int, scale: float = 1.0):
-        whole = isinstance(n, numbers.Integral) or isinstance(n, float) and n.is_integer()
-        if isinstance(n, bool) or not whole or n < 1:
-            raise ValueError(f"n must be a positive integer (4 or 4.0), got {n!r}")
+        self.n = check_count(n, "n, a positive integer,", 1, MAX_N)
         super().__init__(base.dilate(scale) if scale != 1.0 else base)
-        self.n = int(n)
         self.support_radius = self.n * self.base.support_radius
 
     def _omega(self, z):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import experiment as ex
 from . import ncpart, stein
-from .analytic import MeasureSpec, check_window, nfold_convolve, stieltjes_density
+from .analytic import MAX_N, MeasureSpec, check_window, nfold_convolve, stieltjes_density
 from .errors import ConfigError, ConvergenceError, FitRefusalError
 from .momentalg import MAX_ORDER, moments_to_cumulants, semicircle_moments
 
@@ -64,7 +64,7 @@ def _require_output_path(path) -> None:
 
 
 def _cmd_convolve(args) -> int:
-    _require(args, "n", 1)
+    _require(args, "n", 1, MAX_N)
     _require_output_path(args.out)
     try:
         scale = 1.0 / math.sqrt(args.n) if args.scale == "auto" else float(args.scale)
@@ -175,11 +175,10 @@ def _cmd_berry_esseen(args) -> int:
             failed += 1
             print(f"n={n}: FAILED (subordination)")
             continue
-        tv = "refused" if rep.d_tv is None else f"{rep.d_tv:.6g}"
-        print(
-            f"n={n}: d_kol={rep.d_kol:.6g} d_tv={tv} d_w1={rep.d_w1:.6g} "
-            f"mass_deficit={rep.mass_deficit:.2e}"
-        )
+        # an asked-for distance is None only when it is a refused TV
+        shown = [(m, getattr(rep, "d_" + m)) for m in ex.ALL_METRICS if m in cfg.metrics]
+        cells = [f"d_{m}=" + ("refused" if v is None else f"{v:.6g}") for m, v in shown]
+        print(f"n={n}: {' '.join(cells)} mass_deficit={rep.mass_deficit:.2e}")
     print(f"wrote {cfg.output}")
     if failed == len(rows):
         raise ConvergenceError("every configured n failed")

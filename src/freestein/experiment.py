@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import time
 import warnings
@@ -23,8 +22,10 @@ from . import __version__
 from . import metrics as met
 from .analytic import (
     DENSITY_METHOD,
+    MAX_N,
     GridDensity,
     MeasureSpec,
+    check_count,
     check_window,
     nfold_convolve,
     semicircle_density,
@@ -54,10 +55,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         ns = self.n_values
-        if not isinstance(ns, (list, tuple)) or not all(map(_whole, ns)):
+        if not isinstance(ns, (list, tuple)):
             raise ConfigError(f"n_values must be a list of integers, got {ns!r}")
-        ns = tuple(map(int, ns))
-        if len(ns) < 2 or list(ns) != sorted(set(ns)) or ns[0] < 1:
+        try:
+            ns = tuple(check_count(n, "each n_values entry", 1, MAX_N) for n in ns)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if len(ns) < 2 or list(ns) != sorted(set(ns)):
             raise ConfigError("n_values must be >= 2 distinct ascending positive integers")
         self.n_values = ns
         ms = self.metrics
@@ -66,20 +70,16 @@ class ExperimentConfig:
         self.metrics = tuple(ms)
         if not isinstance(self.output, (str, os.PathLike)):
             raise ConfigError(f"output must be a file path, got {self.output!r}")
-        if not _whole(self.grid_points):
-            raise ConfigError(f"grid.n_points must be an integer, got {self.grid_points!r}")
-        self.grid_points = int(self.grid_points)
         w = self.window
-        if w is not None:
-            if not (isinstance(w, (list, tuple)) and len(w) == 2 and all(map(_number, w))):
-                raise ConfigError(f"grid.window must be two finite numbers, got {w!r}")
-            self.window = (float(w[0]), float(w[1]))
+        if w is not None and not (isinstance(w, (list, tuple)) and len(w) == 2):
+            raise ConfigError(f"grid.window must be a pair [lo, hi], got {w!r}")
         try:
             # automatic windows are finite by construction; without a pinned
             # window only the point count is checked
-            check_window(*(self.window or (-1.0, 1.0)), self.grid_points)
+            self.grid_points = check_window(*(w or (-1.0, 1.0)), self.grid_points)
         except ValueError as exc:
             raise ConfigError(f"grid.window / grid.n_points: {exc}") from exc
+        self.window = None if w is None else (float(w[0]), float(w[1]))
         if not isinstance(self.normalize, bool):
             raise ConfigError(f"normalize must be true or false, got {self.normalize!r}")
         if self.normalize:
@@ -91,19 +91,6 @@ class ExperimentConfig:
                     "base measure must be centered and standardized "
                     "(mean 0, variance 1); pass normalize=true to rescale"
                 )
-
-
-def _number(v) -> bool:
-    """A finite real from a config; bools and ints beyond float range do not pass."""
-    try:
-        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _whole(v) -> bool:
-    """A count from a config: 8 and 8.0 pass; 8.9, True, "8" and inf do not."""
-    return _number(v) and float(v).is_integer()
 
 
 def standardize(mu: MeasureSpec) -> MeasureSpec:
@@ -190,31 +177,28 @@ class ExperimentRow:
         return self.report is None
 
 
-def _format_row(row: ExperimentRow, wanted) -> str:
+def _format_row(row: ExperimentRow) -> str:
     def fmt(v):
         return "" if v is None else f"{v:.17g}"
 
     rep = row.report
     cells = ["", "", "", ""]
     if rep is not None:
-        dists = [getattr(rep, "d_" + m) if m in wanted else None for m in ALL_METRICS]
-        cells = [fmt(v) for v in (*dists, rep.mass_deficit)]
+        cells = [fmt(v) for v in (rep.d_kol, rep.d_tv, rep.d_w1, rep.mass_deficit)]
     return ",".join([str(row.n), *cells, str(row.subord_iters), f"{row.runtime_ms:.17g}"])
 
 
 def _decode_row(path, lineno: int, line: str) -> ExperimentRow:
-    """One CSV line as a row; empty distance cells read as nan (d_tv as None)."""
+    """One CSV line as a row; a blank distance or deficit cell reads as None."""
     cells = line.split(",")
     if len(cells) != 7:
         raise ConfigError(f"{path}, line {lineno}: expected 7 cells, got {len(cells)}")
     try:
         n, iters, runtime_ms = int(cells[0]), int(cells[5]), float(cells[6])
-        d_kol, d_tv, d_w1, deficit = (float(c) if c else math.nan for c in cells[1:5])
+        values = [float(c) if c else None for c in cells[1:5]]
     except ValueError as exc:
         raise ConfigError(f"{path}, line {lineno}: {exc}") from exc
-    report = None
-    if iters != -1:
-        report = met.DistanceReport(d_kol, d_tv if cells[2] else None, d_w1, deficit)
+    report = None if iters == -1 else met.DistanceReport(*values)
     return ExperimentRow(n=n, report=report, subord_iters=iters, runtime_ms=runtime_ms, line=line)
 
 
@@ -341,7 +325,7 @@ def run_experiment(cfg: ExperimentConfig) -> list:
         row = done.get(n)
         if row is None:
             row = compute_row(cfg, n)
-            row.line = lines[n] = _format_row(row, cfg.metrics)
+            row.line = lines[n] = _format_row(row)
             _write_rows(path, lines)
         rows.append(row)
     return [(r.n, r.report) for r in rows]

@@ -24,12 +24,13 @@ DISTANCE_METHOD = "grid-trapezoid"
 
 @dataclass
 class DistanceReport:
-    """Distances between two laws; d_tv is None when an atom was detected."""
+    """Distances between two laws; a distance not asked for is None, and so is a
+    TV refused for a mass deficit of ``TV_DEFICIT_LIMIT`` or more."""
 
-    d_kol: float
+    d_kol: float | None
     d_tv: float | None
-    d_w1: float
-    mass_deficit: float
+    d_w1: float | None
+    mass_deficit: float | None
 
 
 def _cdf_on(xs: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -63,7 +64,7 @@ def wasserstein1(a: GridDensity, b: GridDensity) -> float:
 
 
 def distance_report(a: GridDensity, b: GridDensity, metrics=("kol", "tv", "w1")) -> DistanceReport:
-    """The requested distances, nan for the others; TV refusal is d_tv = None.
+    """The requested distances, None for the others; TV refusal is d_tv = None.
 
     Densities on different grids raise ValueError, whichever metrics are
     asked.  ``mass_deficit`` is the larger ``GridDensity.mass_deficit`` of
@@ -72,12 +73,11 @@ def distance_report(a: GridDensity, b: GridDensity, metrics=("kol", "tv", "w1"))
     if (a.lo, a.hi, a.n_points) != (b.lo, b.hi, b.n_points):
         raise ValueError(f"distances need densities on one grid, got {a!r} and {b!r}")
     deficit = max(a.mass_deficit, b.mass_deficit)
-    d_kol = d_w1 = float("nan")
+    d_kol = d_tv = d_w1 = None
     if "kol" in metrics or "w1" in metrics:
         gap = np.abs(_cdf_on(a.x, a.values) - _cdf_on(a.x, b.values))
-        d_kol = float(gap.max()) if "kol" in metrics else d_kol
-        d_w1 = float(a.weights @ gap) if "w1" in metrics else d_w1
-    d_tv = None
+        d_kol = float(gap.max()) if "kol" in metrics else None
+        d_w1 = float(a.weights @ gap) if "w1" in metrics else None
     if "tv" in metrics and deficit < TV_DEFICIT_LIMIT:
         d_tv = float(0.5 * (a.weights @ np.abs(a.values - b.values)))
     return DistanceReport(d_kol=d_kol, d_tv=d_tv, d_w1=d_w1, mass_deficit=deficit)

@@ -250,7 +250,9 @@ class TestNFold:
             an.nfold_convolve(BERN, 0, 1.0)
 
     @pytest.mark.parametrize(
-        "n", [2.7, True, "4", math.inf, math.nan], ids=["fraction", "bool", "text", "inf", "nan"]
+        "n",
+        [2.7, True, "4", math.inf, math.nan, 10**6 + 1, 10**400],
+        ids=["fraction", "bool", "text", "inf", "nan", "above-max-n", "beyond-float"],
     )
     def test_n_must_be_whole(self, n):
         # int(n) would truncate 2.7 to 2
@@ -299,6 +301,25 @@ class TestStieltjesDensity:
         ev = an.nfold_convolve(BERN, 8, 1 / math.sqrt(8))
         with pytest.raises(ValueError, match="finite width"):
             an.stieltjes_density(ev, lo, hi, 201)
+
+
+class TestCheckWindow:
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(True, 2.0), (-2.0, False), ("-2", 2.0), (-(10**400), 2.0), (-(10**308), 10**308)],
+        ids=["lo-bool", "hi-bool", "lo-text", "lo-beyond-float", "int-width-overflows"],
+    )
+    def test_window_ends_are_finite_reals(self, lo, hi):
+        with pytest.raises(ValueError, match="finite width"):
+            an.check_window(lo, hi)
+
+    def test_window_point_count_bounds(self):
+        assert an.check_window(-2, 2) is None
+        assert an.check_window(-2, 2, float(an.MIN_GRID_POINTS)) == an.MIN_GRID_POINTS
+        assert an.check_window(-2, 2, an.MAX_GRID_POINTS) == an.MAX_GRID_POINTS
+        for bad in (an.MIN_GRID_POINTS - 1, an.MAX_GRID_POINTS + 1, 10**400, 201.5):
+            with pytest.raises(ValueError, match="grid point count"):
+                an.check_window(-2, 2, bad)
 
 
 class TestGridDensity:

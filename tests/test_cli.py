@@ -160,7 +160,16 @@ class TestConvolve:
 
 
     @pytest.mark.parametrize(
-        "args", [["-n", "0"], ["-n", "-2"], ["-n", "4", "--points", "10"]]
+        "args",
+        [
+            ["-n", "0"],
+            ["-n", "-2"],
+            ["-n", "4", "--points", "10"],
+            ["-n", "1000001"],
+            ["-n", "1" + "0" * 400],
+            ["-n", "4", "--points", "20002"],
+            ["-n", "4", "--points", "1" + "0" * 400],
+        ],
     )
     def test_bad_numbers_exit_2_before_output(self, tmp_path, args, capsys):
         out = tmp_path / "d.csv"
@@ -376,6 +385,21 @@ class TestBerryEsseenAndFit:
         assert lines[0] == "n,d_kol,d_tv,d_w1,mass_deficit,subord_iters,runtime_ms"
         assert len(lines) == 5
 
+    def test_prints_only_the_metrics_asked_for(self, tmp_path, capsys):
+        cfg = {
+            "base_measure": {"type": "atomic", "atoms": [[1.0, 0.5], [-1.0, 0.5]]},
+            "n_values": [4, 8],
+            "metrics": ["w1"],
+            "grid": {"n_points": 801},
+            "output": str(tmp_path / "rates.csv"),
+        }
+        assert run(["berry-esseen", "--config", json.dumps(cfg)]) == 0
+        rows = capsys.readouterr().out.splitlines()[:2]
+        assert [r.split(":")[0] for r in rows] == ["n=4", "n=8"]
+        for row in rows:
+            assert "d_w1=" in row and "mass_deficit=" in row
+            assert "d_kol" not in row and "d_tv" not in row and "refused" not in row
+
     def test_fit_from_csv(self, small_run, capsys):
         assert run(["fit", "--csv", str(small_run), "--metric", "w1"]) == 0
         fit = json.loads(capsys.readouterr().out)
@@ -478,12 +502,15 @@ class TestBerryEsseenAndFit:
             '"output": 5',
             '"grid": {"n_points": 1' + "0" * 400 + "}",
             '"base_measure": {"type": "atomic", "atoms": [[1' + "0" * 400 + ", 1]]}",
+            '"n_values": [8, 2000000]',
+            '"grid": {"n_points": 20002}',
         ],
         ids=[
             "window-inf", "window-width-overflows", "window-one-number", "window-text", "normalize-text",
             "normalize-number", "n-values-fractional", "n-values-bool",
             "n-points-fractional", "n-points-text", "grid-number", "metrics-number",
-            "output-number", "n-points-huge", "atom-huge",
+            "output-number", "n-points-huge", "atom-huge", "n-values-above-max-n",
+            "n-points-above-max",
         ],
     )
     def test_mangled_config_exits_2_before_output(self, tmp_path, field, capsys):

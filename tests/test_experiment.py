@@ -467,12 +467,11 @@ class TestReadRows:
         assert failed.failed and failed.subord_iters == -1 and failed.line == lines[1]
         assert ex.load_distance_column(path, "tv") == [(8, None)]
 
-    def test_empty_distance_cells_read_as_nan(self, tmp_path):
+    def test_blank_cells_read_as_none(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text(ex.CSV_HEADER + "\n8,,,,,0,1\n")
         rep = ex.read_rows(path)[0].report
-        assert math.isnan(rep.d_kol) and math.isnan(rep.d_w1) and math.isnan(rep.mass_deficit)
-        assert rep.d_tv is None
+        assert (rep.d_kol, rep.d_tv, rep.d_w1, rep.mass_deficit) == (None, None, None, None)
 
     @pytest.mark.parametrize(
         "bad",
