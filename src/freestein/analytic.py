@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import _kernels, momentalg
-from .errors import ConvergenceError, MassRecoveryWarning
+from .errors import ConfigError, ConvergenceError, MassRecoveryWarning
 
 EPS_LADDER = (4e-3, 2e-3, 1e-3)
 # Lagrange weights for quadratic extrapolation of the ladder to eps = 0
@@ -48,6 +50,39 @@ def check_count(v, what: str, lo: int, hi: int) -> int:
     if not (_real(v) and float(v).is_integer() and lo <= v <= hi):
         raise ValueError(f"{what} must be a whole number in [{lo}, {hi}], got {v!r}")
     return int(v)
+
+
+def check_real(v, what: str, lo: float = -math.inf) -> float:
+    """The one rule for a real: a finite real v >= lo, as a float; else ValueError."""
+    if not (_real(v) and v >= lo):
+        bound = "" if lo == -math.inf else f" >= {lo:g}"
+        raise ValueError(f"{what} must be a finite real{bound}, got {v!r}")
+    return float(v)
+
+
+def read_csv(path, header: str, kind: str) -> list:
+    """The one CSV reader: (line number, cells) of each non-blank line of a
+    ``kind`` file after its ``header``.  An unreadable file, another header or
+    another cell count than the header's is a ConfigError naming file and line."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not lines or lines[0].strip() != header:
+        raise ConfigError(f"{path}, line 1: not {kind}, whose header is {header!r}")
+    rows = [(k, line.strip().split(",")) for k, line in enumerate(lines[1:], 2) if line.strip()]
+    width = header.count(",") + 1
+    for lineno, cells in rows:
+        if len(cells) != width:
+            raise ConfigError(f"{path}, line {lineno}: expected {width} cells, got {len(cells)}")
+    return rows
+
+
+def write_atomic(path, text: str) -> None:
+    """The one file writer: ``text`` replaces ``path`` in one step, through ``<path>.tmp``."""
+    path = os.path.realpath(path)  # through a symbolic link, not over it
+    Path(path + ".tmp").write_text(text)
+    os.replace(path + ".tmp", path)
 
 
 def check_window(lo, hi, n_points=None) -> int | None:
@@ -114,30 +149,23 @@ class GridDensity:
         return abs(1.0 - self.mass)
 
     def to_csv(self, path) -> None:
-        """Write two columns x,density with 17 significant digits."""
-        with open(path, "w") as fh:
-            fh.write("x,density\n")
-            for xi, vi in zip(self.x, self.values):
-                fh.write(f"{xi:.17g},{vi:.17g}\n")
+        """Write two columns x,density with 17 significant digits, atomically."""
+        rows = (f"{xi:.17g},{vi:.17g}\n" for xi, vi in zip(self.x, self.values))
+        write_atomic(path, "x,density\n" + "".join(rows))
 
     @classmethod
     def from_csv(cls, path) -> "GridDensity":
-        """Read an ``x,density`` CSV (uniform x, at least 2 rows; blank lines skipped)."""
+        """Read an ``x,density`` CSV (uniform x, at least 2 rows; blank lines
+        skipped); a cell that is not a finite real is refused with its line."""
         xs, vs = [], []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "x,density":
-                raise ValueError(f"unexpected density CSV header: {header!r}")
-            for line in fh:
-                if not line.strip():
-                    continue
-                a, b = line.strip().split(",")
-                xs.append(float(a))
-                vs.append(float(b))
+        for lineno, (a, b) in read_csv(path, "x,density", "a density CSV"):
+            try:
+                xs.append(check_real(float(a), "x"))
+                vs.append(check_real(float(b), "density"))
+            except ValueError as exc:
+                raise ConfigError(f"{path}, line {lineno}: {exc}") from exc
         if len(xs) < 2:
             raise ValueError(f"{path}: need at least 2 density rows, got {len(xs)}")
-        if not np.isfinite(xs).all():
-            raise ValueError(f"{path}: x column must be finite")
         gap = np.abs(np.array(xs) - np.linspace(xs[0], xs[-1], len(xs))).max()
         if gap > 1e-9 * abs(xs[-1] - xs[0]):
             raise ValueError(f"{path}: x column is not uniform (off by {gap:.3e})")
@@ -162,9 +190,7 @@ class MeasureSpec:
 
     @classmethod
     def atomic(cls, atoms) -> "MeasureSpec":
-        pts = tuple((float(p), float(w)) for p, w in atoms)
-        if not np.isfinite(pts).all():
-            raise ValueError("atom positions and weights must be finite")
+        pts = tuple((check_real(p, "an atom"), check_real(w, "an atom weight")) for p, w in atoms)
         if abs(sum(w for _, w in pts) - 1.0) > 1e-12:
             raise ValueError("atom weights must sum to 1")
         if any(w <= 0 for _, w in pts):
@@ -175,7 +201,7 @@ class MeasureSpec:
 
     @classmethod
     def semicircle(cls, mean: float = 0.0, variance: float = 1.0) -> "MeasureSpec":
-        if not (math.isfinite(mean) and 0 < variance < math.inf):
+        if not (_real(mean) and _real(variance) and variance > 0):
             raise ValueError("semicircle needs a finite mean and a finite positive variance")
         return cls(kind="semicircle", mean=float(mean), variance=float(variance))
 

@@ -15,7 +15,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -26,10 +26,13 @@ from .analytic import (
     GridDensity,
     MeasureSpec,
     check_count,
+    check_real,
     check_window,
     nfold_convolve,
+    read_csv,
     semicircle_density,
     stieltjes_density,
+    write_atomic,
 )
 from .errors import ConfigError, ConvergenceError, FitRefusalError, MassRecoveryWarning
 
@@ -117,12 +120,10 @@ def parse_measure(obj: dict) -> MeasureSpec:
     try:
         if kind == "atomic":
             _require_keys(obj, {"type", "atoms"})
-            return MeasureSpec.atomic([(float(p), float(w)) for p, w in obj["atoms"]])
+            return MeasureSpec.atomic(obj["atoms"])
         if kind == "semicircle":
             _require_keys(obj, {"type", "mean", "variance"}, optional={"mean", "variance"})
-            return MeasureSpec.semicircle(
-                float(obj.get("mean", 0.0)), float(obj.get("variance", 1.0))
-            )
+            return MeasureSpec.semicircle(obj.get("mean", 0.0), obj.get("variance", 1.0))
         if kind == "grid":
             _require_keys(obj, {"type", "path"})
             return MeasureSpec.from_grid(GridDensity.from_csv(obj["path"]))
@@ -178,48 +179,37 @@ class ExperimentRow:
 
 
 def _format_row(row: ExperimentRow) -> str:
-    def fmt(v):
-        return "" if v is None else f"{v:.17g}"
-
-    rep = row.report
-    cells = ["", "", "", ""]
-    if rep is not None:
-        cells = [fmt(v) for v in (rep.d_kol, rep.d_tv, rep.d_w1, rep.mass_deficit)]
+    values = (None,) * 4 if row.report is None else astuple(row.report)
+    cells = ["" if v is None else f"{v:.17g}" for v in values]
     return ",".join([str(row.n), *cells, str(row.subord_iters), f"{row.runtime_ms:.17g}"])
 
 
-def _decode_row(path, lineno: int, line: str) -> ExperimentRow:
-    """One CSV line as a row; a blank distance or deficit cell reads as None."""
-    cells = line.split(",")
-    if len(cells) != 7:
-        raise ConfigError(f"{path}, line {lineno}: expected 7 cells, got {len(cells)}")
+def _decode_row(path, lineno: int, cells: list) -> ExperimentRow:
+    """The cells of one CSV line as a row, by the one number rule: n from 1
+    to MAX_N, subord_iters a whole number >= -1, a finite runtime, and each
+    distance and the deficit blank (None) or a finite real >= 0."""
     try:
-        n, iters, runtime_ms = int(cells[0]), int(cells[5]), float(cells[6])
-        values = [float(c) if c else None for c in cells[1:5]]
+        n = check_count(int(cells[0]), "n", 1, MAX_N)
+        iters = check_count(int(cells[5]), "subord_iters", -1, math.inf)
+        runtime_ms = check_real(float(cells[6]), "runtime_ms")
+        values = [check_real(float(c), "a report cell", 0.0) if c else None for c in cells[1:5]]
     except ValueError as exc:
         raise ConfigError(f"{path}, line {lineno}: {exc}") from exc
     report = None if iters == -1 else met.DistanceReport(*values)
-    return ExperimentRow(n=n, report=report, subord_iters=iters, runtime_ms=runtime_ms, line=line)
+    return ExperimentRow(n, report, iters, runtime_ms, line=",".join(cells))
 
 
 def read_rows(path) -> list:
-    """The rows of an experiment CSV in file order, blank lines skipped.
-
-    Raises :class:`ConfigError` when the file cannot be read, its first
-    line is not ``CSV_HEADER``, or a line has the wrong cell count or a
-    non-numeric cell (naming the file and line number).
-    """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path} is not an experiment CSV (bad header)")
-    return [
-        _decode_row(path, lineno, line)
-        for lineno, line in enumerate(lines[1:], start=2)
-        if line.strip()
-    ]
+    """The rows of an experiment CSV in file order.  A ConfigError naming the
+    file and line refuses what ``read_csv`` refuses, a line that breaks the
+    rules of :func:`_decode_row`, and a second line with the same n."""
+    rows, first = [], {}
+    for lineno, cells in read_csv(path, CSV_HEADER, "an experiment CSV"):
+        row = _decode_row(path, lineno, cells)
+        if first.setdefault(row.n, lineno) != lineno:
+            raise ConfigError(f"{path}, line {lineno}: n = {row.n} again (line {first[row.n]})")
+        rows.append(row)
+    return rows
 
 
 def _distances(base: MeasureSpec, n: int, window, grid_points: int, metrics=ALL_METRICS):
@@ -249,17 +239,10 @@ def compute_row(cfg: ExperimentConfig, n: int) -> ExperimentRow:
     return ExperimentRow(n, report, iters, (time.perf_counter() - t0) * 1e3)
 
 
-def _replace(path: Path, text: str) -> None:
-    """Replace the file at ``path`` by ``text`` in one step, through a temp file."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def _write_rows(path: Path, lines: dict) -> None:
-    """Replace the CSV with the header and the non-empty ``lines`` in one step."""
-    rows = [line for line in lines.values() if line is not None]
-    _replace(path, "".join(line + "\n" for line in (CSV_HEADER, *rows)))
+def _write_rows(path: Path, rows: dict) -> None:
+    """Replace the CSV with the header and the lines of ``rows`` in n order, in one step."""
+    lines = [rows[n].line for n in sorted(rows)]
+    write_atomic(path, "".join(line + "\n" for line in (CSV_HEADER, *lines)))
 
 
 def fingerprint(cfg: ExperimentConfig) -> str:
@@ -293,16 +276,14 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     """Run every configured n, keeping the output CSV complete at all times.
 
     Completed rows already in the file, configured or not, are kept
-    byte-identical and not recomputed; failed rows are retried.  The file
-    is first replaced by its completed rows in n order, and again after
-    every computed row, each time through a temp file, so an interrupted
-    run never loses a completed row.  Only configured rows are returned.
-
-    The side-car ``<output>.meta.json`` holds :func:`fingerprint`.  It is
-    written, atomically, before the CSV when the CSV holds no rows yet;
-    rows with no side-car, or with one that differs, and a side-car path
-    that is a directory raise :class:`ConfigError` before either file is
-    touched.
+    byte-identical and not recomputed; failed rows are retried.  The file is
+    replaced (``write_atomic``) by its completed rows in n order, and again
+    after every computed row, so an interrupted run never loses a completed
+    row.  Only configured rows are returned.  The side-car
+    ``<output>.meta.json`` holds :func:`fingerprint`, written before the CSV
+    when the CSV holds no rows yet.  A file that :func:`read_rows` refuses,
+    rows with no side-car or with one that differs, and a side-car path that
+    is a directory raise :class:`ConfigError` before either file is touched.
     """
     path = Path(cfg.output)
     meta = path.with_name(path.name + ".meta.json")
@@ -311,24 +292,19 @@ def run_experiment(cfg: ExperimentConfig) -> list:
     stamp = fingerprint(cfg)
     found = read_rows(path) if path.exists() and path.stat().st_size else []
     if not found:
-        _replace(meta, stamp)
+        write_atomic(meta, stamp)
     elif not meta.is_file():
         raise ConfigError(f"{path} holds rows but no {meta.name} says what made them")
     elif meta.read_bytes() != stamp.encode():
         raise ConfigError(f"{path} holds rows of another configuration (see {meta.name})")
     done = {row.n: row for row in found if not row.failed}
-    ns = sorted(set(done) | set(cfg.n_values))
-    lines = {n: done[n].line if n in done else None for n in ns}
-    _write_rows(path, lines)
-    rows = []
+    _write_rows(path, done)
     for n in cfg.n_values:
-        row = done.get(n)
-        if row is None:
-            row = compute_row(cfg, n)
-            row.line = lines[n] = _format_row(row)
-            _write_rows(path, lines)
-        rows.append(row)
-    return [(r.n, r.report) for r in rows]
+        if n not in done:
+            row = done[n] = compute_row(cfg, n)
+            row.line = _format_row(row)
+            _write_rows(path, done)
+    return [(n, done[n].report) for n in cfg.n_values]
 
 
 @dataclass

@@ -10,7 +10,7 @@ from freestein import _kernels
 from freestein import analytic as an
 from freestein import momentalg as ma
 from freestein import stein
-from freestein.errors import ConvergenceError, MassRecoveryWarning
+from freestein.errors import ConfigError, ConvergenceError, MassRecoveryWarning
 from freestein.momentalg import FreeCumulantSequence
 
 BERN = an.MeasureSpec.atomic([(-1.0, 0.5), (1.0, 0.5)])
@@ -53,8 +53,10 @@ class TestMeasureSpec:
             [(-1.0, math.nan), (1.0, 0.5)],
             [(math.inf, 0.5), (1.0, 0.5)],
             [(-1.0, math.inf), (1.0, 0.5)],
+            [("-1", 0.5), (1.0, 0.5)],
+            [(-1.0, True), (1.0, 0.5)],
         ],
-        ids=["atom-nan", "weight-nan", "atom-inf", "weight-inf"],
+        ids=["atom-nan", "weight-nan", "atom-inf", "weight-inf", "atom-string", "weight-bool"],
     )
     def test_non_finite_atoms_rejected(self, atoms):
         with pytest.raises(ValueError, match="finite"):
@@ -62,8 +64,8 @@ class TestMeasureSpec:
 
     @pytest.mark.parametrize(
         "mean, variance",
-        [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)],
-        ids=["mean-nan", "mean-inf", "variance-nan", "variance-inf"],
+        [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf), ("0", 1.0), (0.0, True)],
+        ids=["mean-nan", "mean-inf", "variance-nan", "variance-inf", "mean-string", "variance-bool"],
     )
     def test_non_finite_semicircle_rejected(self, mean, variance):
         with pytest.raises(ValueError, match="finite"):
@@ -388,6 +390,41 @@ class TestGridDensity:
         with pytest.raises(ValueError, match="finite"):
             an.GridDensity.from_csv(path)
 
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("x,density\n-1,0.5\n0,abc\n1,0.5\n", r"density\.csv, line 3: could not convert"),
+            ("x,density\n-1,0.5\n0,nan\n1,0.5\n", r"density\.csv, line 3: density must be"),
+            ("x,density\n-1,0.5\n\n0,0.5,1\n", r"density\.csv, line 4: expected 2 cells, got 3"),
+            ("x,dens\n-1,0.5\n1,0.5\n", r"density\.csv, line 1: not a density CSV"),
+        ],
+        ids=["non-numeric", "nan", "three-cells", "header"],
+    )
+    def test_csv_errors_name_file_and_line(self, tmp_path, text, match):
+        path = tmp_path / "density.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            an.GridDensity.from_csv(path)
+
+    def test_to_csv_replaces_the_file_in_one_step(self, tmp_path):
+        path = tmp_path / "density.csv"
+        path.write_text("old\n")
+        (tmp_path / "density.csv.tmp").mkdir()  # the temp file cannot be written
+        with pytest.raises(OSError):
+            an.semicircle_density(-2.1, 2.1, 101).to_csv(path)
+        assert path.read_text() == "old\n"
+        (tmp_path / "density.csv.tmp").rmdir()
+        an.semicircle_density(-2.1, 2.1, 101).to_csv(path)
+        assert an.GridDensity.from_csv(path).n_points == 101
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["density.csv"]
+
+    def test_to_csv_writes_through_a_symbolic_link(self, tmp_path):
+        (tmp_path / "target.csv").write_text("old\n")
+        (tmp_path / "link.csv").symlink_to("target.csv")
+        an.semicircle_density(-2.1, 2.1, 101).to_csv(tmp_path / "link.csv")
+        assert (tmp_path / "link.csv").is_symlink()
+        assert an.GridDensity.from_csv(tmp_path / "target.csv").n_points == 101
 
     def test_csv_skips_blank_lines(self, tmp_path):
         path = tmp_path / "density.csv"

@@ -76,14 +76,22 @@ class TestMoments:
         assert run(["moments", "--measure", '{"type":"nope"}']) == 2
 
     @pytest.mark.parametrize(
-        "body", ["", "0,1\n0.3,1\n1,1\n"], ids=["header-only", "non-uniform"]
+        "body, where",
+        [
+            ("", ""),
+            ("0,1\n0.3,1\n1,1\n", ""),
+            ("-1,0.5\n0,abc\n1,0.5\n", ", line 3"),
+            ("-1,0.5\n0,0.5,1\n1,0.5\n", ", line 3"),
+        ],
+        ids=["header-only", "non-uniform", "non-numeric-cell", "three-cells"],
     )
-    def test_bad_grid_file_exits_2(self, tmp_path, body, capsys):
+    def test_bad_grid_file_exits_2(self, tmp_path, body, where, capsys):
         path = tmp_path / "d.csv"
         path.write_text("x,density\n" + body)
         measure = json.dumps({"type": "grid", "path": str(path)})
         assert run(["moments", "--measure", measure]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{path}{where}" in err
 
     def test_grid_file_ending_in_a_blank_line(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
@@ -100,8 +108,19 @@ class TestMoments:
             '{"type":"atomic","atoms":[[1e999,0.5],[1,0.5]]}',
             '{"type":"semicircle","mean":NaN}',
             '{"type":"semicircle","variance":Infinity}',
+            # strings and bools were coerced by float()
+            '{"type":"atomic","atoms":[["-1","0.5"],[true,0.5]]}',
+            '{"type":"semicircle","mean":"0","variance":true}',
         ],
-        ids=["atom-nan", "weight-nan", "atom-inf", "mean-nan", "variance-inf"],
+        ids=[
+            "atom-nan",
+            "weight-nan",
+            "atom-inf",
+            "mean-nan",
+            "variance-inf",
+            "atom-strings-and-bool",
+            "mean-string-variance-bool",
+        ],
     )
     def test_non_finite_measure_exits_2_before_output(self, measure, capsys):
         assert run(["moments", "--measure", measure]) == 2
@@ -437,6 +456,29 @@ class TestBerryEsseenAndFit:
         assert "another configuration" in captured.err
         assert (small_run.read_bytes(), meta.read_bytes()) == before
 
+    @pytest.mark.parametrize("command", ["berry-esseen", "fit"])
+    def test_repeated_n_exits_2_and_leaves_both_files(self, small_run, command, capsys):
+        # a resume kept the last of two n = 8 lines and rewrote the file without the first
+        meta = small_run.with_name(small_run.name + ".meta.json")
+        small_run.write_text(small_run.read_text() + small_run.read_text().splitlines()[2] + "\n")
+        before = small_run.read_bytes(), meta.read_bytes()
+        if command == "fit":
+            argv = ["fit", "--csv", str(small_run), "--metric", "w1"]
+        else:
+            cfg = {
+                "base_measure": {"type": "atomic", "atoms": [[1.0, 0.5], [-1.0, 0.5]]},
+                "n_values": [4, 8, 16, 32],
+                "grid": {"n_points": 801},
+                "output": str(small_run),
+            }
+            argv = ["berry-esseen", "--config", json.dumps(cfg)]
+        capsys.readouterr()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 6: n = 8 again (line 3)" in captured.err
+        assert (small_run.read_bytes(), meta.read_bytes()) == before
+
     def test_side_car_that_is_a_directory_exits_2_before_output(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"
         (tmp_path / "rates.csv.meta.json").mkdir()
@@ -463,7 +505,9 @@ class TestBerryEsseenAndFit:
         assert out.read_text() == "a,b\n1,2\n"
 
     @pytest.mark.parametrize(
-        "bad", ["abc,1,2,3,4,5,6", "64,1,2,3,4,5"], ids=["non-numeric", "six-cells"]
+        "bad",
+        ["abc,1,2,3,4,5,6", "64,1,2,3,4,5", "64,nan,inf,-1,nan,0,1", "64,1,1,1,0,0,nan"],
+        ids=["non-numeric", "six-cells", "non-finite-distances", "nan-runtime"],
     )
     @pytest.mark.parametrize("command", ["berry-esseen", "fit"])
     def test_corrupt_row_exits_2_and_leaves_the_file(self, small_run, bad, command, capsys):

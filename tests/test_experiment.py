@@ -475,13 +475,41 @@ class TestReadRows:
 
     @pytest.mark.parametrize(
         "bad",
-        ["abc,1,2,3,4,5,6", "8,1,2,3,4,5", "8,1,2,3,4,5,6,7", "8,x,2,3,4,5,6", ",1,2,3,4,5,6"],
-        ids=["bad-n", "six-cells", "eight-cells", "bad-distance", "empty-n"],
+        [
+            "abc,1,2,3,4,5,6",
+            "8,1,2,3,4,5",
+            "8,1,2,3,4,5,6,7",
+            "8,x,2,3,4,5,6",
+            ",1,2,3,4,5,6",
+            # non-finite and negative distances once read back as a finished row
+            "4,nan,inf,-1,nan,0,1",
+            "-5,1,1,1,0,0,1",
+            "8,1,1,1,0,-7,1",
+            "8,1,1,1,0,0,nan",
+        ],
+        ids=[
+            "bad-n",
+            "six-cells",
+            "eight-cells",
+            "bad-distance",
+            "empty-n",
+            "non-finite-distances",
+            "negative-n",
+            "iters-below-minus-1",
+            "nan-runtime",
+        ],
     )
     def test_corrupt_line_names_file_and_line(self, tmp_path, bad):
         path = tmp_path / "out.csv"
         path.write_text(ex.CSV_HEADER + "\n8,0.5,0.5,0.5,0,0,1\n\n" + bad + "\n")
         with pytest.raises(ConfigError, match=r"out\.csv, line 4"):
+            ex.read_rows(path)
+
+    def test_repeated_n_names_both_lines(self, tmp_path):
+        # a resume keyed the rows by n and silently dropped the first n = 8 line
+        path = tmp_path / "out.csv"
+        path.write_text(ex.CSV_HEADER + "\n8,0.5,0.5,0.5,0,0,1\n16,,,,,-1,3\n8,0.4,,,,0,2\n")
+        with pytest.raises(ConfigError, match=r"out\.csv, line 4: n = 8 again \(line 2\)"):
             ex.read_rows(path)
 
     def test_resume_refuses_a_corrupt_file_and_leaves_it(self, tmp_path, monkeypatch):
