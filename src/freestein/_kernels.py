@@ -30,13 +30,34 @@ BACKEND = "numpy"
 TOL = 1e-13
 MAX_ITER = 10_000
 RESTART_AT = 32
+# points x nodes entries per block of a node sum
+BLOCK_ENTRIES = 2**18
 
 
 def cauchy_vals(z, kind, c0, c1, xs, ys):
     """G(z) = integral of 1/(z - x) for one descriptor, Im z > 0."""
     if kind == 1:
         return 1.0 / _f_df_vec(1, c0, c1, xs, ys, z, deriv=False)[0]
-    return (1.0 / (z[:, None] - xs)) @ ys
+    return _node_sums(z, xs, ys, deriv=False)[0]
+
+
+def _node_sums(w, xs, ys, deriv):
+    """sum ys / (w - xs) and, if ``deriv``, sum ys / (w - xs)^2 per point (else 0.0).
+
+    The points run in blocks of ``BLOCK_ENTRIES // len(xs)`` (at least
+    one), so a grid base holds one block of points x nodes at a time;
+    each point's sums are the same in any block.  A base of a few atoms
+    is one block, returned as computed.
+    """
+    step = max(1, BLOCK_ENTRIES // len(xs))
+    sums = []
+    for lo in range(0, max(len(w), 1), step):
+        r = 1.0 / (w[lo : lo + step, None] - xs)
+        sums.append((r @ ys, (r * r) @ ys if deriv else 0.0))
+    if len(sums) == 1:
+        return sums[0]
+    g, dg = zip(*sums)
+    return np.concatenate(g), np.concatenate(dg) if deriv else 0.0
 
 
 def _f_df_vec(kind, c0, c1, xs, ys, w, deriv=True):
@@ -46,10 +67,9 @@ def _f_df_vec(kind, c0, c1, xs, ys, w, deriv=True):
         edge = 2.0 * math.sqrt(c1)
         s = np.sqrt(u - edge) * np.sqrt(u + edge)
         return 0.5 * (u + s), 0.5 * (1.0 + u / s) if deriv else 0.0
-    r = 1.0 / (w[:, None] - xs)
-    g = r @ ys
-    # F' = -G'/G^2 with G' = -sum ys r^2
-    return 1.0 / g, ((r * r) @ ys) / (g * g) if deriv else 0.0
+    g, dg = _node_sums(w, xs, ys, deriv)
+    # F' = -G'/G^2 with G' = -sum ys / (w - xs)^2
+    return 1.0 / g, dg / (g * g) if deriv else 0.0
 
 
 def _nfold_seed(z, kind, c0, c1, xs, ys, nfold):

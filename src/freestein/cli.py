@@ -18,7 +18,14 @@ from pathlib import Path
 
 from . import experiment as ex
 from . import ncpart, stein
-from .analytic import MAX_N, MeasureSpec, check_window, nfold_convolve, stieltjes_density
+from .analytic import (
+    MAX_N,
+    MeasureSpec,
+    check_count,
+    check_window,
+    nfold_convolve,
+    stieltjes_density,
+)
 from .errors import ConfigError, ConvergenceError, FitRefusalError
 from .momentalg import MAX_ORDER, moments_to_cumulants, semicircle_moments
 
@@ -122,7 +129,9 @@ def _parse_partition(blocks_json: str, n: int | None = None) -> ncpart.NcPartiti
         blocks = json.loads(blocks_json)
         if n is None:
             n = sum(len(b) for b in blocks)
-        return ncpart.NcPartition.noncrossing(n, [tuple(b) for b in blocks])
+        return ncpart.NcPartition.noncrossing(
+            n, [tuple(check_count(e, "a partition element", 1, n) for e in b) for b in blocks]
+        )
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad partition {blocks_json!r}: {exc}") from exc
 

@@ -9,8 +9,9 @@ The lattice is walked lazily as :func:`nc_blocks`, one partition at a
 time as a tuple of shared canonical block tuples, and nothing is kept
 once a partition has been yielded; :class:`NcPartition` objects are
 built only at the public API.  The walk places 1..n-1 and then gives n
-each of its 1 + #open choices, so :func:`count_nc` (``nc count``) counts
-the leaves at the last element without building them.
+each of its 1 + #open choices.  The number of open blocks alone fixes
+how the walk can go on, so :func:`count_nc` (``nc count``) counts the
+placements by it, in O(n^2) integer additions, and walks nothing.
 :mod:`freestein.momentalg` solves power-series equations for its
 transforms and mixed moments and walks no lattice.
 
@@ -29,6 +30,7 @@ among them, serve as oracles in the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 MAX_GROUND_SET = 12
@@ -73,7 +75,10 @@ class NcPartition:
             self.n = n
             self.blocks = blocks
         else:
-            canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+            canon = tuple(tuple(sorted(b)) for b in blocks)
+            if not all(canon):
+                raise ValueError(f"a partition has no empty block: {blocks}")
+            canon = tuple(sorted(canon, key=lambda b: b[0]))
             seen = [e for b in canon for e in b]
             if sorted(seen) != list(range(1, n + 1)):
                 raise ValueError(f"blocks do not partition [{n}]: {blocks}")
@@ -182,39 +187,38 @@ def nc_blocks(n: int):
 
 
 def count_nc(n: int) -> int:
-    """|NC(n)| from the walk of :func:`nc_blocks`, counted at the last element.
+    """|NC(n)| by a transfer over the open-block counts of :func:`nc_blocks`' walk.
 
-    Element n has 1 + #open choices after each placement of 1..n-1, so the
-    sum over placements counts every leaf without building one.
+    After a placement of 1..i with k open blocks, element i + 1 opens
+    block k + 1 or joins the j-th open block counted from the outermost,
+    which leaves j open, j = 1..k.  So the placements with j >= 1 open
+    blocks after i + 1 number the placements with k >= j - 1 after i, a
+    suffix sum, and element n has 1 + k choices:
+    |NC(n)| = sum_k ways[k] (1 + k) over the placements of 1..n-1.  That
+    is O(n^2) integer additions, and it checks :func:`catalan`
+    independently of it.
     """
     _check_bound(n)
-    return sum(1 + len(opened) for opened in _placements(n, []))
+    ways = [1]  # ways[k]: placements of the elements so far with k open blocks
+    for _ in range(1, n):
+        ways = [0, *reversed(list(itertools.accumulate(reversed(ways))))]
+    return sum(w * (1 + k) for k, w in enumerate(ways))
 
 
 def _leaves(n: int):
-    """The walk of :func:`nc_blocks`: each placement, then n in each of its choices."""
+    """The walk of :func:`nc_blocks`, depth first in one frame.
+
+    The walk keeps the placed blocks in ``blocks`` in creation order,
+    i.e. by least element, and updates it in place between yields;
+    ``opened`` holds the open blocks as indices into it, outermost first.
+    ``choice`` at element i < n is 0 for a new block and k for the k-th
+    open block counted from the innermost; the explicit stack holds, per
+    placed element, its open blocks, its choice and the block tuple it
+    replaced.  Each placement of 1..n-1 yields its leaves: n in a new
+    block, then n joining each open block, innermost first.
+    """
     blocks = []
     last = (n,)
-    for opened in _placements(n, blocks):
-        yield (*blocks, last)
-        for j in reversed(opened):
-            b = blocks[j]
-            blocks[j] = b + last
-            yield tuple(blocks)
-            blocks[j] = b
-
-
-def _placements(n: int, blocks: list):
-    """Placements of 1..n-1, depth first in one frame, yielded as their open blocks.
-
-    The walk keeps the placed blocks in ``blocks``, an empty list from the
-    caller, in creation order, i.e. by least element, and updates it in
-    place between yields; the open blocks are indices into it, outermost
-    first.  ``choice`` at element i < n is 0 for a new block and k for the
-    k-th open block counted from the innermost; the explicit stack holds,
-    per placed element, its open blocks, its choice and the block tuple it
-    replaced.
-    """
     stack = []
     i, opened, choice = 1, (), 0
     while True:
@@ -231,7 +235,12 @@ def _placements(n: int, blocks: list):
                 opened += (len(blocks) - 1,)
             i += 1
             choice = 0
-        yield opened
+        yield (*blocks, last)
+        for j in reversed(opened):
+            b = blocks[j]
+            blocks[j] = b + last
+            yield tuple(blocks)
+            blocks[j] = b
         while stack:  # back up to the deepest element with a choice left
             i -= 1
             opened, choice, b = stack.pop()

@@ -326,6 +326,24 @@ class TestNc:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["nc", "kreweras", "--blocks", "[[]]"],
+            ["nc", "mobius", "-n", "2", "--p", "[[],[1,2]]"],
+            ["nc", "kreweras", "--blocks", "[[true,2]]"],
+            ["nc", "mobius", "-n", "2", "--p", "[[true],[2]]"],
+            ["nc", "kreweras", "--blocks", '[["1"],[2]]'],
+        ],
+        ids=["kreweras-empty-block", "mobius-empty-block", "kreweras-bool",
+             "mobius-bool", "kreweras-string"],
+    )
+    def test_malformed_partition_exits_2(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad partition" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["nc", "mobius", "-n", "4", "--p", "[[1,3],[2,4]]"],
             ["nc", "mobius", "-n", "4", "--q", "[[1,3],[2,4]]"],
             ["nc", "kreweras", "--blocks", "[[1,3],[2,4]]"],
@@ -374,6 +392,17 @@ class TestNc:
             tracemalloc.stop()
         assert "enumerated=58786" in capsys.readouterr().out
         assert held < 1_000_000
+
+    @pytest.mark.parametrize(
+        "n, want",
+        [
+            ("11", "n=11 |NC(n)|=58786 Bell(n)=678570\nenumerated=58786\n"),
+            ("13", "n=13 |NC(n)|=742900 Bell(n)=27644437\n"),
+        ],
+    )
+    def test_count_stdout_is_pinned(self, n, want, capsys):
+        assert run(["nc", "count", "-n", n]) == 0
+        assert capsys.readouterr().out == want
 
     def test_count_enumerates_up_to_the_ground_set_bound(self, capsys):
         assert run(["nc", "count", "-n", "12"]) == 0

@@ -211,11 +211,19 @@ class TestEnumeration:
         want = recursive_nc(n)
         assert list(ncpart.nc_blocks(n)) == want
         assert [p.blocks for p in ncpart.enumerate_nc(n)] == want
-        assert ncpart.count_nc(n) == len(want)
+        assert ncpart.count_nc(n) == sum(1 for _ in ncpart.nc_blocks(n)) == len(want)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_count_nc_is_catalan(self, n):
-        assert ncpart.count_nc(n) == math.comb(2 * n, n) // (n + 1)
+        assert ncpart.count_nc(n) == math.comb(2 * n, n) // (n + 1) == ncpart.catalan(n)
+
+    def test_count_nc_walks_nothing(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("count_nc walked the lattice")
+
+        monkeypatch.setattr(ncpart, "_leaves", walk)
+        monkeypatch.setattr(ncpart, "_placements", walk, raising=False)
+        assert ncpart.count_nc(12) == 208012
 
     def test_nc_blocks_is_a_fresh_lazy_walk(self):
         walk = ncpart.nc_blocks(5)
@@ -274,6 +282,11 @@ class TestCrossing:
             NcPartition(3, [(1, 2)])
         with pytest.raises(ValueError):
             NcPartition.noncrossing(4, [(1, 3), (2, 4)])
+
+    @pytest.mark.parametrize("n, blocks", [(0, [()]), (2, [(), (1, 2)])])
+    def test_empty_block_rejected(self, n, blocks):
+        with pytest.raises(ValueError, match="empty block"):
+            NcPartition(n, blocks)
 
 
 class TestOrder:
