@@ -124,11 +124,13 @@ def _cmd_stein_check(args) -> int:
 
 
 def _parse_partition(blocks_json: str, n: int | None = None) -> ncpart.NcPartition:
-    """A non-crossing partition of [n]; n defaults to the number of elements given."""
+    """A non-crossing partition of [n], n in 1..MAX_GROUND_SET; n defaults to the
+    number of elements given."""
     try:
         blocks = json.loads(blocks_json)
         if n is None:
             n = sum(len(b) for b in blocks)
+        check_count(n, "the ground set size", 1, ncpart.MAX_GROUND_SET)
         return ncpart.NcPartition.noncrossing(
             n, [tuple(check_count(e, "a partition element", 1, n) for e in b) for b in blocks]
         )

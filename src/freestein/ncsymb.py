@@ -16,17 +16,27 @@ its powers, and the telescoping resolvent expansion
 
 with g the squared resolvent g(x) = ((z - x)^{-1})^2, checked numerically
 on seeded matrix batteries.
+
+Work is not repeated: a product forms the coefficient products once per
+distinct left coefficient, and ``_factors`` keeps g(A), g(A+R) and
+Delta g(A) of the last accepted pair, so a q-loop over one pair conditions
+and inverts once.  Counts (q, j, the battery size, the matrix dimension)
+are read through ``analytic.check_count``.
 """
 
 from __future__ import annotations
 
+import numbers
 import random
 
 import numpy as np
 
+from .analytic import _real, check_count
+
 MAX_TERMS = 100_000
 MAX_MATRIX_DIM = 12
 COND_LIMIT = 1e8
+_KEPT = {}  # _factors of the last accepted pair, under its key
 
 
 def _zp_trim(c: tuple) -> tuple:
@@ -119,15 +129,31 @@ class NcPolynomial:
         return NcPolynomial({w: _zp_mul(v, c) for w, v in self.terms.items()})
 
     def __mul__(self, other: "NcPolynomial") -> "NcPolynomial":
-        out = {}
+        """Words in the order first met, left factor outermost.
+
+        The products with ``other``'s coefficients are formed once per
+        distinct left coefficient; the key carries the entry types, so an
+        int and an equal float coefficient are not confused.  Products and
+        sums come trimmed, so only the sums that cancelled are dropped.
+        """
+        right = list(other.terms.items())
+        rows, out = {}, {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+            key = (c1, tuple(map(type, c1)))
+            prods = rows.get(key)
+            if prods is None:
+                prods = rows[key] = [_zp_mul(c1, c2) for _, c2 in right]
+            for (w2, _), prod in zip(right, prods):
                 w = _word_concat(w1, w2)
-                prod = _zp_mul(c1, c2)
-                out[w] = _zp_add(out.get(w, ()), prod) if w in out else prod
+                if w in out:
+                    out[w] = _zp_add(out[w], prod)
+                    continue
+                out[w] = prod
                 if len(out) > MAX_TERMS:
                     raise RuntimeError(f"expansion exceeded {MAX_TERMS} terms")
-        return NcPolynomial(out)
+        poly = NcPolynomial()
+        poly.terms = {w: c for w, c in out.items() if c}
+        return poly
 
     def __pow__(self, j: int) -> "NcPolynomial":
         if j < 0:
@@ -169,10 +195,8 @@ def a_delta() -> NcPolynomial:
 
 
 def expand_power(p: NcPolynomial, j: int) -> NcPolynomial:
-    """Canonical expansion of p^j (blow-up guarded at 1e5 terms)."""
-    if j > 6:
-        raise ValueError("expansion powers capped at 6")
-    return p**j
+    """Canonical expansion of p^j for a whole j in 0..6 (blow-up guarded at 1e5 terms)."""
+    return p ** check_count(j, "the power j", 0, 6)
 
 
 def core_multi_index(word) -> tuple:
@@ -192,11 +216,12 @@ def core_multi_index(word) -> tuple:
 
 
 def _square_pair(a_val, r_val) -> tuple:
-    """A and R as complex arrays, refused unless square of one dimension."""
+    """A and R as complex arrays, refused unless square of one dimension in 1..MAX_MATRIX_DIM."""
     a = np.asarray(a_val, dtype=complex)
     r = np.asarray(r_val, dtype=complex)
     if a.shape != r.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("A and R must be square matrices of the same dimension")
+    check_count(a.shape[0], "the matrix dimension", 1, MAX_MATRIX_DIM)
     return a, r
 
 
@@ -206,8 +231,6 @@ def eval_matrix(
     """Substitute square matrices for A, R and a scalar for z."""
     a, r = _square_pair(a_val, r_val)
     d = a.shape[0]
-    if d > MAX_MATRIX_DIM:
-        raise ValueError(f"matrix oracle capped at dimension {MAX_MATRIX_DIM}")
     out = np.zeros((d, d), dtype=complex)
     eye = np.eye(d, dtype=complex)
     for word, coeff in p.terms.items():
@@ -234,19 +257,16 @@ def resolvent_lemma_check(
 
     g is the squared resolvent.  Returns
     ``max | g(A+R) - g(A+R)(Delta g(A))^q - sum_{j<q} g(A)(Delta g(A))^j |``,
-    which is zero in exact arithmetic for every q >= 1.  z - A and
-    z - A - R are conditioned and inverted as one stacked batch.
+    which is zero in exact arithmetic for every whole q in 1..5.  z must be
+    a finite complex number.  Only the q-loop runs here; the factors come
+    from ``_factors``, which keeps those of the last pair.
     """
-    if q < 1 or q > 5:
-        raise ValueError("q must lie in 1..5")
+    q = check_count(q, "q", 1, 5)
     a, r = _square_pair(a_val, r_val)
-    shifted, conds = _shifted_pair(a, r, z_val)
-    for cond, name in zip(conds, ("z - A", "z - A - R")):
-        if not cond < COND_LIMIT:
-            raise ValueError(f"resolvent {name} too ill-conditioned (cond {cond:.2e})")
-    res = np.linalg.inv(shifted)
-    g_a, g_ar = res @ res
-    dg = _delta_matrix(a, r, z_val) @ g_a
+    if not (isinstance(z_val, numbers.Complex) and not isinstance(z_val, bool)
+            and _real(z_val.real) and _real(z_val.imag)):
+        raise ValueError(f"z must be a finite complex number, got {z_val!r}")
+    g_a, g_ar, dg = _factors(a, r, complex(z_val))
     eye = np.eye(a.shape[0], dtype=complex)
     power, series = eye, np.zeros_like(eye)
     for _ in range(q):
@@ -256,26 +276,47 @@ def resolvent_lemma_check(
     return float(np.abs(g_ar - rhs).max())
 
 
-def _shifted_pair(a: np.ndarray, r: np.ndarray, z: complex) -> tuple:
-    """z - A and z - A - R as one stack, with their 2-norm condition numbers.
+def _factors(a: np.ndarray, r: np.ndarray, z: complex) -> tuple:
+    """g(A), g(A+R) and Delta g(A), read-only, for square complex A, R.
 
-    One batched SVD gives both; a singular matrix reads inf (or nan), which
-    no ``cond < COND_LIMIT`` test accepts.
+    z - A and z - A - R are conditioned by one batched SVD and inverted as
+    one stack; a condition number that is not below COND_LIMIT (a singular
+    matrix reads inf or nan) is a ValueError naming the matrix, z - A
+    first.  The factors of the last accepted pair are kept under the bytes
+    of A and R, d and z, so a repeated call recomputes nothing; a refusal
+    is not kept.
     """
-    shifted = z * np.eye(a.shape[0], dtype=complex) - np.stack((a, a + r))
-    sv = np.linalg.svd(shifted, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return shifted, sv[:, 0] / sv[:, -1]
+    key = (a.tobytes(), r.tobytes(), a.shape[0], z)
+    if key not in _KEPT:
+        shifted = z * np.eye(a.shape[0], dtype=complex) - np.stack((a, a + r))
+        sv = np.linalg.svd(shifted, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            conds = sv[:, 0] / sv[:, -1]
+        for cond, name in zip(conds, ("z - A", "z - A - R")):
+            if not cond < COND_LIMIT:
+                raise ValueError(f"resolvent {name} too ill-conditioned (cond {cond:.2e})")
+        res = np.linalg.inv(shifted)
+        g_a, g_ar = res @ res
+        dg = _delta_matrix(a, r, z) @ g_a
+        for m in (g_a, g_ar, dg):
+            m.flags.writeable = False
+        _KEPT.clear()
+        _KEPT[key] = g_a, g_ar, dg
+    return _KEPT[key]
 
 
 def random_matrix_battery(count: int = 50, dim: int = 6, seed: int = 20240901):
     """Seeded (A, R) pairs: unit-disc entries scaled by 1/dim, A Hermitian.
 
     The 1/dim scaling keeps norms of Delta g(A) near unity, so the q = 5
-    residual stays at machine level; pairs whose resolvents at
-    z = 2.5 + 0.5i are ill-conditioned are resampled.  The draws come from
-    ``random.Random(seed)``, so the battery needs no ``numpy.random``.
+    residual stays at machine level; a pair is kept if and only if
+    ``_factors`` accepts its resolvents at z = 2.5 + 0.5i, and redrawn
+    otherwise.  count >= 1 and dim in 1..MAX_MATRIX_DIM are whole numbers.
+    The draws come from ``random.Random(seed)``, so the battery needs no
+    ``numpy.random``.
     """
+    count = check_count(count, "the battery count", 1, float("inf"))
+    dim = check_count(dim, "the matrix dimension", 1, MAX_MATRIX_DIM)
     rng = random.Random(seed)
     z = 2.5 + 0.5j
     out = []
@@ -283,8 +324,11 @@ def random_matrix_battery(count: int = 50, dim: int = 6, seed: int = 20240901):
         m1 = _disc_matrix(rng, dim) / dim
         r = _disc_matrix(rng, dim) / dim
         a = 0.5 * (m1 + m1.conj().T)
-        if (_shifted_pair(a, r, z)[1] < COND_LIMIT).all():
-            out.append((a, r))
+        try:
+            _factors(a, r, z)
+        except ValueError:
+            continue
+        out.append((a, r))
     return out
 
 

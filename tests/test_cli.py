@@ -342,6 +342,21 @@ class TestNc:
         assert "bad partition" in captured.err
 
     @pytest.mark.parametrize(
+        "blocks",
+        ["[]", json.dumps([[k] for k in range(1, 14)]), json.dumps([list(range(1, 15))])],
+        ids=["empty", "13-singletons", "14-one-block"],
+    )
+    def test_kreweras_ground_set_out_of_bounds_exits_2(self, blocks, capsys):
+        assert run(["nc", "kreweras", "--blocks", blocks]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ground set size must be a whole number in [1, 12]" in captured.err
+
+    def test_kreweras_at_the_ground_set_bound(self, capsys):
+        assert run(["nc", "kreweras", "--blocks", json.dumps([list(range(1, 13))])]) == 0
+        assert json.loads(capsys.readouterr().out) == [[k] for k in range(1, 13)]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["nc", "mobius", "-n", "4", "--p", "[[1,3],[2,4]]"],

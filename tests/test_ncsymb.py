@@ -1,5 +1,9 @@
 """Word algebra, expansion bookkeeping, and the matrix oracle."""
 
+import hashlib
+import random
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,65 @@ from freestein.ncsymb import NcPolynomial
 A = NcPolynomial.letter("A")
 R = NcPolynomial.letter("R")
 Z_TEST = 2.5 + 0.5j
+# sha256 of the bytes of A, R, A, R, ... of random_matrix_battery(50, 6)
+BATTERY_50_6_SHA256 = "8fe83dbef3216400756cf17c5c6bbd75fd3476cb022de0f9adf32d9b6cd181cb"
+
+
+def oracle_mul(p, q):
+    """The product without memoised coefficient products: every pair multiplied afresh."""
+    out = {}
+    for w1, c1 in p.terms.items():
+        for w2, c2 in q.terms.items():
+            w = ncsymb._word_concat(w1, w2)
+            prod = ncsymb._zp_mul(c1, c2)
+            out[w] = ncsymb._zp_add(out.get(w, ()), prod) if w in out else prod
+    return NcPolynomial(out)
+
+
+def oracle_power(p, j):
+    acc = NcPolynomial.unit()
+    for _ in range(j):
+        acc = oracle_mul(acc, p)
+    return acc
+
+
+def oracle_shifted_conds(a, r, z):
+    """z - A and z - A - R stacked, with their condition numbers from one batched SVD."""
+    shifted = z * np.eye(a.shape[0], dtype=complex) - np.stack((a, a + r))
+    sv = np.linalg.svd(shifted, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return shifted, sv[:, 0] / sv[:, -1]
+
+
+def oracle_residual(a, r, z, q):
+    """The residual computed from scratch for one call, nothing kept between calls."""
+    shifted, conds = oracle_shifted_conds(a, r, z)
+    for cond, name in zip(conds, ("z - A", "z - A - R")):
+        if not cond < ncsymb.COND_LIMIT:
+            raise ValueError(f"resolvent {name} too ill-conditioned (cond {cond:.2e})")
+    res = np.linalg.inv(shifted)
+    g_a, g_ar = res @ res
+    dg = (2.0 * z * r - a @ r - r @ a - r @ r) @ g_a
+    eye = np.eye(a.shape[0], dtype=complex)
+    power, series = eye, np.zeros_like(eye)
+    for _ in range(q):
+        series += power
+        power = power @ dg
+    rhs = g_ar @ power + g_a @ series
+    return float(np.abs(g_ar - rhs).max())
+
+
+def oracle_battery(count, dim, seed=20240901):
+    """The battery's draws with the acceptance rule written out: both condition numbers below the limit."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m1 = ncsymb._disc_matrix(rng, dim) / dim
+        r = ncsymb._disc_matrix(rng, dim) / dim
+        a = 0.5 * (m1 + m1.conj().T)
+        if (oracle_shifted_conds(a, r, 2.5 + 0.5j)[1] < ncsymb.COND_LIMIT).all():
+            out.append((a, r))
+    return out
 
 
 def seeded_pairs(count, dim, seed=31):
@@ -42,6 +105,38 @@ class TestPolynomialAlgebra:
     def test_power_guard(self):
         with pytest.raises(ValueError):
             A**-1
+
+    @pytest.mark.parametrize("j", range(7))
+    def test_power_terms_and_order_match_the_oracle(self, j):
+        got = list(ncsymb.expand_power(ncsymb.a_delta(), j).terms.items())
+        want = list(oracle_power(ncsymb.a_delta(), j).terms.items())
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            # A^2 gets (-1 - 2z) from A * A and (1 + 2z) from A^2 * 1: the sum cancels
+            (A + NcPolynomial.letter("A", 2).scale((0.5, 1.0)),
+             A.scale((-1.0, -2.0)) + NcPolynomial.scalar((2.0,))),
+            (ncsymb.delta_poly() + A.scale((0.5, -1)), ncsymb.a_delta().scale((0.25, 0, 1.5))),
+            (ncsymb.delta_poly() - ncsymb.delta_poly(), ncsymb.a_delta()),
+            # the equal coefficients (1,) and (1.0,) have products of different value
+            (A + R.scale((1.0,)), NcPolynomial.scalar((2**53 + 1,))),
+        ],
+        ids=["float-z-cancel", "float-z", "zero-left", "int-and-float"],
+    )
+    def test_products_match_the_oracle(self, p, q):
+        for left, right in ((p, q), (q, p), (p, p)):
+            got = list((left * right).terms.items())
+            want = list(oracle_mul(left, right).terms.items())
+            assert got == want
+            assert repr(got) == repr(want)
+
+    def test_cancelled_word_is_dropped(self):
+        p = A + NcPolynomial.letter("A", 2).scale((0.5, 1.0))
+        q = A.scale((-1.0, -2.0)) + NcPolynomial.scalar((2.0,))
+        assert list((p * q).terms) == [(("A", 1),), (("A", 3),)]
 
     def test_blowup_guard(self):
         dense = NcPolynomial.unit()
@@ -124,6 +219,14 @@ class TestExpandPower:
         with pytest.raises(ValueError):
             ncsymb.expand_power(ncsymb.a_delta(), 7)
 
+    @pytest.mark.parametrize("j", [-1, 7, 2.5, True, "2", None, float("nan")])
+    def test_power_is_a_whole_number_in_0_to_6(self, j):
+        with pytest.raises(ValueError, match=r"the power j must be a whole number in \[0, 6\]"):
+            ncsymb.expand_power(ncsymb.a_delta(), j)
+
+    def test_whole_float_power_reads_as_int(self):
+        assert ncsymb.expand_power(ncsymb.a_delta(), 2.0) == ncsymb.expand_power(ncsymb.a_delta(), 2)
+
 
 class TestEvalMatrix:
     def test_unit_polynomial(self):
@@ -144,8 +247,9 @@ class TestEvalMatrix:
         for a, r in ((np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3)))):
             with pytest.raises(ValueError, match="square matrices of the same dimension"):
                 ncsymb.eval_matrix(A, a, r, 0.0)
-        with pytest.raises(ValueError):
-            ncsymb.eval_matrix(A, np.eye(13), np.eye(13), 0.0)
+        for d in (0, 13):
+            with pytest.raises(ValueError, match=r"matrix dimension must be a whole number in \[1, 12\]"):
+                ncsymb.eval_matrix(A, np.eye(d), np.eye(d), 0.0)
 
 
 class TestResolventLemma:
@@ -205,6 +309,78 @@ class TestResolventLemma:
             with pytest.raises(ValueError):
                 ncsymb.resolvent_lemma_check(a, r, Z_TEST, q)
 
+    @pytest.mark.parametrize("q", [True, 2.5, "2", None, float("inf")])
+    def test_q_is_a_whole_number(self, q):
+        a, r = seeded_pairs(1, 4)[0]
+        with pytest.raises(ValueError, match=r"q must be a whole number in \[1, 5\]"):
+            ncsymb.resolvent_lemma_check(a, r, Z_TEST, q)
+
+    def test_whole_float_q_reads_as_int(self):
+        a, r = seeded_pairs(1, 4)[0]
+        assert ncsymb.resolvent_lemma_check(a, r, Z_TEST, 2.0) == oracle_residual(a, r, Z_TEST, 2)
+
+    @pytest.mark.parametrize(
+        "z",
+        [float("nan"), float("inf"), complex(0, float("inf")), complex(2.5, float("nan")),
+         "2.5", True, None],
+        ids=["nan", "inf", "imag-inf", "imag-nan", "text", "bool", "none"],
+    )
+    def test_non_finite_z_refused_before_any_svd(self, z, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD computed for a refused z")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        a, r = seeded_pairs(1, 4)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="z must be a finite complex number"):
+                ncsymb.resolvent_lemma_check(a, r, z, 1)
+
+    def test_dimension_bounds(self):
+        for d in (0, 13):
+            with pytest.raises(ValueError, match=r"matrix dimension must be a whole number in \[1, 12\]"):
+                ncsymb.resolvent_lemma_check(np.eye(d), np.eye(d), Z_TEST, 1)
+
+    def test_battery_residuals_equal_the_per_call_computation(self):
+        for a, r in ncsymb.random_matrix_battery(50, 6):
+            for q in range(1, 6):
+                assert ncsymb.resolvent_lemma_check(a, r, Z_TEST, q) == oracle_residual(a, r, Z_TEST, q)
+
+    def test_interleaved_pairs_and_points(self):
+        (a1, r1), (a2, r2) = ncsymb.random_matrix_battery(2, 4)
+        calls = [(a1, r1, Z_TEST), (a2, r2, Z_TEST), (a1, r1, Z_TEST), (a1, r1, 3.0),
+                 (a1, r1, 3), (a1, r2, 3.0), (r1, a1, 3.0), (a1, r1, Z_TEST)]
+        for a, r, z in calls:
+            for q in (5, 1, 3):
+                assert ncsymb.resolvent_lemma_check(a, r, z, q) == oracle_residual(a, r, z, q)
+
+    def test_a_refusal_is_not_kept(self):
+        good_a, good_r = ncsymb.random_matrix_battery(1, 2)[0]
+        bad_a = np.diag([2.5, 0.0]).astype(complex)
+        bad_r = 0.1 * np.eye(2, dtype=complex)
+        z = 2.5 + 1e-9j
+        for _ in range(2):
+            with pytest.raises(ValueError, match="resolvent z - A too ill-conditioned"):
+                ncsymb.resolvent_lemma_check(bad_a, bad_r, z, 1)
+            assert ncsymb.resolvent_lemma_check(good_a, good_r, z, 2) == oracle_residual(good_a, good_r, z, 2)
+
+    def test_pair_changed_in_place_is_computed_afresh(self):
+        a, r = (m.copy() for m in ncsymb.random_matrix_battery(1, 3)[0])
+        first = ncsymb.resolvent_lemma_check(a, r, Z_TEST, 4)
+        assert first == oracle_residual(a, r, Z_TEST, 4)
+        r *= 2.0
+        assert ncsymb.resolvent_lemma_check(a, r, Z_TEST, 4) == oracle_residual(a, r, Z_TEST, 4)
+
+    def test_non_contiguous_input(self):
+        a, r = ncsymb.random_matrix_battery(1, 5)[0]
+        got = ncsymb.resolvent_lemma_check(np.asfortranarray(a), r.T.copy().T, Z_TEST, 3)
+        assert got == oracle_residual(a, r, Z_TEST, 3)
+
+    def test_kept_factors_are_read_only(self):
+        a, r = ncsymb.random_matrix_battery(1, 3)[0]
+        for m in ncsymb._factors(a, r, Z_TEST):
+            assert not m.flags.writeable
+
 
 class TestBattery:
     def test_reproducible(self):
@@ -216,3 +392,24 @@ class TestBattery:
     def test_hermitian_first_slot(self):
         for a, _ in ncsymb.random_matrix_battery(5, 6):
             assert np.abs(a - a.conj().T).max() < 1e-15
+
+    def test_default_battery_is_pinned(self):
+        battery = ncsymb.random_matrix_battery(50, 6)
+        assert np.array_equal(np.array(battery), np.array(oracle_battery(50, 6)))
+        digest = hashlib.sha256(b"".join(a.tobytes() + r.tobytes() for a, r in battery))
+        assert digest.hexdigest() == BATTERY_50_6_SHA256
+
+    @pytest.mark.parametrize("count, dim", [(3, 2), (7, 1), (4, 12)])
+    def test_battery_keeps_the_pairs_of_the_condition_rule(self, count, dim):
+        got, want = ncsymb.random_matrix_battery(count, dim, 5), oracle_battery(count, dim, 5)
+        assert np.array_equal(np.array(got), np.array(want))
+
+    @pytest.mark.parametrize(
+        "count, dim, what",
+        [(0, 6, "battery count"), (2.5, 6, "battery count"), (True, 6, "battery count"),
+         (2, 0, "matrix dimension"), (2, 13, "matrix dimension"), (2, 2.5, "matrix dimension"),
+         (2, "6", "matrix dimension")],
+    )
+    def test_battery_sizes_are_whole_numbers_in_bounds(self, count, dim, what):
+        with pytest.raises(ValueError, match=f"the {what} must be a whole number"):
+            ncsymb.random_matrix_battery(count, dim)
