@@ -17,7 +17,10 @@ restart of unsettled points at pass ``RESTART_AT``.  The
 n-fold solver starts from one closed form, :func:`_nfold_seed`: the root
 itself for a semicircle or at most two atoms, which settles at the first
 check and reports 0 iterations, and otherwise the root for the two-atom
-law with the same first three moments.  The pair solver starts at w = z.
+law with the same first three moments.  The pair solver starts from
+:func:`_pair_seed`, the root for the two semicircles with the operands'
+means and variances: the root itself when both operands are semicircles.
+Either start falls back to z where it is not finite or not above the axis.
 """
 
 from __future__ import annotations
@@ -100,6 +103,36 @@ def _nfold_seed(z, kind, c0, c1, xs, ys, nfold):
     return shifted - s2 / _f_df_vec(1, c, s2, xs, ys, shifted, deriv=False)[0]
 
 
+def _mean_var(kind, c0, c1, xs, ys):
+    """Mean and variance of a descriptor's law: (c0, c1) for a semicircle."""
+    if kind == 1:
+        return c0, c1
+    mean = ys @ xs
+    return mean, ys @ (xs - mean) ** 2
+
+
+def _pair_seed(z, a, b):
+    """Closed-form start for w = z + h_b(z + h_a(w)), with a and b descriptors.
+
+    For a semicircle b of mean m_b and variance v_b, Biane's relation
+    omega1 = z - m_b - v_b G(z) holds with G the Cauchy transform of
+    a boxplus b.  The seed takes a and b to be the semicircles with the
+    operands' means and variances, whose sum is the semicircle of mean
+    m_a + m_b and variance v_a + v_b, so
+    omega1 = z - m_b - v_b / F_sc(z) in closed form.  Since Im F_sc >= Im z,
+    the seed has Im omega1 >= Im z; it is the root itself when both
+    operands are semicircles, and z - m_b when b is one atom.
+    """
+    m_a, v_a = _mean_var(*a)
+    m_b, v_b = _mean_var(*b)
+    return z - m_b - v_b / _f_df_vec(1, m_a + m_b, v_a + v_b, None, None, z, deriv=False)[0]
+
+
+def _start(w0, z):
+    """w0 where it is finite and above the real axis, z elsewhere."""
+    return np.where(np.isfinite(w0) & (w0.imag > 0.0), w0, z)
+
+
 def _solve(z, w0, phi):
     """Newton's method on w = Phi(w) per point from w0; returns (w, iters, resid).
 
@@ -141,15 +174,15 @@ def nfold_omega(z, kind, c0, c1, xs, ys, nfold):
         f, df = _f_df_vec(kind, c0, c1, xs, ys, w, deriv)
         return (zs + (nfold - 1.0) * f) / nfold, (nfold - 1.0) / nfold * df
 
-    w0 = _nfold_seed(z, kind, c0, c1, xs, ys, nfold)
-    return _solve(z, np.where(np.isfinite(w0) & (w0.imag > 0.0), w0, z), phi)
+    return _solve(z, _start(_nfold_seed(z, kind, c0, c1, xs, ys, nfold), z), phi)
 
 
 def pair_omega(z, ka, a0, a1, axs, ays, kb, b0, b1, bxs, bys):
     """Solve w = z + h_b(z + h_a(w)), h = F - id, per point.
 
     Returns (omega1, omega2, iterations, residual); omega1 feeds G_a,
-    omega2 = z + h_a(omega1) feeds G_b.
+    omega2 = z + h_a(omega1) feeds G_b.  Newton starts from
+    :func:`_pair_seed`.
     """
 
     def phi(zs, w, deriv):
@@ -158,6 +191,7 @@ def pair_omega(z, ka, a0, a1, axs, ays, kb, b0, b1, bxs, bys):
         fb, dfb = _f_df_vec(kb, b0, b1, bxs, bys, inner, deriv)
         return zs + fb - inner, (dfb - 1.0) * (dfa - 1.0)
 
-    w, iters, resid = _solve(z, z, phi)
+    w0 = _pair_seed(z, (ka, a0, a1, axs, ays), (kb, b0, b1, bxs, bys))
+    w, iters, resid = _solve(z, _start(w0, z), phi)
     inner = z + _f_df_vec(ka, a0, a1, axs, ays, w, deriv=False)[0] - w
     return w, inner, iters, resid

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -347,7 +348,12 @@ class PairConvolveEvaluator(MeasureEvaluator):
     """Handle for G of a boxplus b via two-measure subordination.
 
     omega1 is the attracting fixed point of w -> z + h_b(z + h_a(w)) with
-    h = 1/G - id; then G_{a boxplus b} = G_a(omega1).
+    h = 1/G - id; then G_{a boxplus b} = G_a(omega1).  The solver starts
+    from a closed form: the fixed point for the two semicircles with the
+    operands' means and variances, which is the fixed point itself when a
+    and b are semicircles (0 iterations), as in the OU flow of a
+    semicircle, and otherwise a few Newton steps from it.  The residual at
+    the returned point is checked against ``RESIDUAL_ACCEPT`` either way.
     """
 
     def __init__(self, a: MeasureSpec, b: MeasureSpec):
@@ -371,16 +377,23 @@ def nfold_convolve(mu: MeasureSpec, n: int, scale: float = 1.0) -> NFoldEvaluato
 def ou_semigroup(mu: MeasureSpec, theta: float):
     """Handle for P_theta[mu] = D_{e^-theta}[mu] boxplus D_{sqrt(1-e^-2theta)}[s].
 
-    theta = 0 collapses the semicircle factor to a point mass at 0, so the
-    measure is returned unchanged.
+    theta is a finite real >= 0.  theta = 0 collapses the semicircle factor
+    to a point mass at 0, so the measure is returned unchanged; the
+    semicircle's variance 1 - e^{-2 theta} is taken by ``expm1``, so it
+    stays positive for any theta > 0.  Once e^{-2 theta} falls below the
+    least normal float (theta > 354), the dilated law's variance would
+    underflow while its distance to the standard semicircle, of order
+    e^{-theta}, is far below double precision: the standard semicircle's
+    handle is returned, as it is once e^{-theta} underflows to 0.
     """
-    if theta < 0:
-        raise ValueError("semigroup time must be nonnegative")
-    if theta == 0:
+    theta = check_real(theta, "the semigroup time theta", 0.0)
+    if theta == 0.0:
         return MeasureEvaluator(mu)
     decay = math.exp(-theta)
+    if decay * decay < sys.float_info.min:
+        return MeasureEvaluator(MeasureSpec.semicircle(0.0, 1.0))
     return PairConvolveEvaluator(
-        mu.dilate(decay), MeasureSpec.semicircle(0.0, 1.0 - decay * decay)
+        mu.dilate(decay), MeasureSpec.semicircle(0.0, -math.expm1(-2.0 * theta))
     )
 
 

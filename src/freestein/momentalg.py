@@ -82,7 +82,7 @@ class FreeCumulantSequence:
         vals = tuple(values)
         if not vals:
             raise ValueError("empty cumulant sequence")
-        if not np.all(np.isfinite([float(v) for v in vals])):
+        if not all(math.isfinite(float(v)) for v in vals):
             raise ValueError("cumulants must be finite")
         self.values = vals
 

@@ -18,10 +18,12 @@ with g the squared resolvent g(x) = ((z - x)^{-1})^2, checked numerically
 on seeded matrix batteries.
 
 Work is not repeated: a product forms the coefficient products once per
-distinct left coefficient, and ``_factors`` keeps g(A), g(A+R) and
-Delta g(A) of the last accepted pair, so a q-loop over one pair conditions
-and inverts once.  Counts (q, j, the battery size, the matrix dimension)
-are read through ``analytic.check_count``.
+distinct left coefficient.  A battery is conditioned and inverted as one
+stack, and ``_factors`` keeps g(A), g(A+R) and Delta g(A) of every pair of
+the last battery, or else of the last accepted pair, so each pair is
+conditioned and inverted once however many q are checked on it.  Counts
+(q, j, the battery size, the matrix dimension) are read through
+``analytic.check_count``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from .analytic import _real, check_count
 MAX_TERMS = 100_000
 MAX_MATRIX_DIM = 12
 COND_LIMIT = 1e8
-_KEPT = {}  # _factors of the last accepted pair, under its key
+# kept factors of at most about 7 MB at dim 12, with 5 MB of keys
+MAX_BATTERY = 1_000
+_KEPT = {}  # _factors of the last battery's pairs, or of the last accepted pair
 
 
 def _zp_trim(c: tuple) -> tuple:
@@ -276,32 +280,48 @@ def resolvent_lemma_check(
     return float(np.abs(g_ar - rhs).max())
 
 
+def _factor_stack(a, r, z):
+    """Condition numbers and factors of each pair of the (k, d, d) stacks A, R.
+
+    z - A and z - A - R of every pair are conditioned by one batched SVD of
+    the (k, 2, d, d) stack; a pair is accepted when both condition numbers
+    are below COND_LIMIT (a singular matrix reads inf or nan), and the
+    accepted pairs are inverted as one stack.  Returns the (k, 2) condition
+    numbers and, per pair, its read-only g(A), g(A+R) and Delta g(A), or
+    None for a refused pair.
+    """
+    shifted = z * np.eye(a.shape[-1], dtype=complex) - np.stack((a, a + r), axis=1)
+    sv = np.linalg.svd(shifted, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds = sv[..., 0] / sv[..., -1]
+    ok = (conds < COND_LIMIT).all(axis=1)
+    res = np.linalg.inv(shifted[ok])
+    squares = res @ res
+    dg = _delta_matrix(a[ok], r[ok], z) @ squares[:, 0]
+    for m in (squares, dg):
+        m.flags.writeable = False
+    accepted = zip(squares[:, 0], squares[:, 1], dg)
+    return conds, [next(accepted) if good else None for good in ok]
+
+
 def _factors(a: np.ndarray, r: np.ndarray, z: complex) -> tuple:
     """g(A), g(A+R) and Delta g(A), read-only, for square complex A, R.
 
-    z - A and z - A - R are conditioned by one batched SVD and inverted as
-    one stack; a condition number that is not below COND_LIMIT (a singular
-    matrix reads inf or nan) is a ValueError naming the matrix, z - A
-    first.  The factors of the last accepted pair are kept under the bytes
-    of A and R, d and z, so a repeated call recomputes nothing; a refusal
-    is not kept.
+    The one rule for a single pair: :func:`_factor_stack` on a stack of
+    one.  A condition number that is not below COND_LIMIT is a ValueError
+    naming the matrix, z - A first.  The factors are kept under the bytes
+    of A and R, d and z, so a repeated call recomputes nothing: those of
+    every pair of the last ``random_matrix_battery``, or else of the last
+    accepted pair, which replaces what was kept.  A refusal is not kept.
     """
     key = (a.tobytes(), r.tobytes(), a.shape[0], z)
     if key not in _KEPT:
-        shifted = z * np.eye(a.shape[0], dtype=complex) - np.stack((a, a + r))
-        sv = np.linalg.svd(shifted, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            conds = sv[:, 0] / sv[:, -1]
-        for cond, name in zip(conds, ("z - A", "z - A - R")):
+        conds, (factors,) = _factor_stack(a[None], r[None], z)
+        for cond, name in zip(conds[0], ("z - A", "z - A - R")):
             if not cond < COND_LIMIT:
                 raise ValueError(f"resolvent {name} too ill-conditioned (cond {cond:.2e})")
-        res = np.linalg.inv(shifted)
-        g_a, g_ar = res @ res
-        dg = _delta_matrix(a, r, z) @ g_a
-        for m in (g_a, g_ar, dg):
-            m.flags.writeable = False
         _KEPT.clear()
-        _KEPT[key] = g_a, g_ar, dg
+        _KEPT[key] = factors
     return _KEPT[key]
 
 
@@ -310,26 +330,35 @@ def random_matrix_battery(count: int = 50, dim: int = 6, seed: int = 20240901):
 
     The 1/dim scaling keeps norms of Delta g(A) near unity, so the q = 5
     residual stays at machine level; a pair is kept if and only if
-    ``_factors`` accepts its resolvents at z = 2.5 + 0.5i, and redrawn
-    otherwise.  count >= 1 and dim in 1..MAX_MATRIX_DIM are whole numbers.
-    The draws come from ``random.Random(seed)``, so the battery needs no
-    ``numpy.random``.
+    ``_factors`` would accept its resolvents at z = 2.5 + 0.5i, and redrawn
+    otherwise.  count in 1..MAX_BATTERY and dim in 1..MAX_MATRIX_DIM are
+    whole numbers.  The draws come from ``random.Random(seed)``, so the
+    battery needs no ``numpy.random``.  Each round draws, in stream order,
+    as many candidates as are still needed and factors them in one
+    :func:`_factor_stack`, so the kept pairs are those of a one-at-a-time
+    filter; the factors of every kept pair replace what ``_factors`` keeps.
     """
-    count = check_count(count, "the battery count", 1, float("inf"))
+    count = check_count(count, "the battery count", 1, MAX_BATTERY)
     dim = check_count(dim, "the matrix dimension", 1, MAX_MATRIX_DIM)
     rng = random.Random(seed)
     z = 2.5 + 0.5j
     out = []
+    _KEPT.clear()
     while len(out) < count:
-        m1 = _disc_matrix(rng, dim) / dim
-        r = _disc_matrix(rng, dim) / dim
-        a = 0.5 * (m1 + m1.conj().T)
-        try:
-            _factors(a, r, z)
-        except ValueError:
-            continue
-        out.append((a, r))
+        drawn = [_draw_pair(rng, dim) for _ in range(count - len(out))]
+        _, factors = _factor_stack(*(np.array(m) for m in zip(*drawn)), z)
+        for (a, r), pair_factors in zip(drawn, factors):
+            if pair_factors is not None:
+                _KEPT[a.tobytes(), r.tobytes(), dim, z] = pair_factors
+                out.append((a, r))
     return out
+
+
+def _draw_pair(rng, dim):
+    """One candidate (A, R): A the Hermitian part of a disc matrix, both scaled by 1/dim."""
+    m1 = _disc_matrix(rng, dim) / dim
+    r = _disc_matrix(rng, dim) / dim
+    return 0.5 * (m1 + m1.conj().T), r
 
 
 def _disc_matrix(rng, dim: int) -> np.ndarray:

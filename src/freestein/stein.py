@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import MeasureSpec
+from .analytic import MeasureSpec, check_real
 from .momentalg import (
     FreeCumulantSequence,
     MomentSequence,
@@ -115,10 +115,8 @@ def generator_apply(m: MomentSequence, p: int):
 
 
 def evolve_cumulants(kappa: FreeCumulantSequence, theta: float) -> FreeCumulantSequence:
-    """Free cumulants of P_theta[mu] from those of mu."""
-    if theta < 0:
-        raise ValueError("semigroup time must be nonnegative")
-    u = math.exp(-theta)
+    """Free cumulants of P_theta[mu] from those of mu, for a finite real theta >= 0."""
+    u = math.exp(-check_real(theta, "the semigroup time theta", 0.0))
     vals = []
     for j, k in enumerate(kappa.values, start=1):
         v = u**j * k

@@ -488,6 +488,42 @@ class TestOuSemigroup:
         with pytest.raises(ValueError):
             an.ou_semigroup(ASYM, -0.1)
 
+    @pytest.mark.parametrize(
+        "theta", [-0.1, math.nan, math.inf, -math.inf, True, "1", None],
+        ids=["negative", "nan", "inf", "-inf", "bool", "text", "none"],
+    )
+    def test_theta_is_a_finite_real_at_least_zero(self, theta):
+        for flow in (lambda t: an.ou_semigroup(ASYM, t),
+                     lambda t: stein.evolve_cumulants(ma.moments_to_cumulants(ASYM.moments(4)), t)):
+            with pytest.raises(ValueError, match="the semigroup time theta must be a finite real >= 0"):
+                flow(theta)
+
+    @pytest.mark.parametrize("mu", [ASYM, SEMI, an.MeasureSpec.semicircle(0.4, 0.49)],
+                             ids=["atomic", "semicircle", "shifted-semicircle"])
+    def test_tiny_theta_is_the_law_itself(self, mu):
+        # 1 - e^{-2 theta} by expm1: a semicircle factor of variance 2e-300
+        z = np.linspace(-3, 3, 61) + 0.5j
+        got = an.ou_semigroup(mu, 1e-300).cauchy(z)
+        assert np.abs(got - an.MeasureEvaluator(mu).cauchy(z)).max() <= 1e-12
+
+    @pytest.mark.parametrize("theta", [360.0, 400.0, 745.5, 1e6])
+    @pytest.mark.parametrize("mu", [ASYM, SEMI, an.MeasureSpec.semicircle(0.4, 0.49)],
+                             ids=["atomic", "semicircle", "shifted-semicircle"])
+    def test_long_flow_is_the_standard_semicircle(self, mu, theta):
+        ev = an.ou_semigroup(mu, theta)
+        assert type(ev) is an.MeasureEvaluator and ev.base == SEMI
+        kappa = stein.evolve_cumulants(ma.moments_to_cumulants(mu.moments(6)), theta)
+        assert np.abs(np.array(kappa.values) - [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]).max() < 1e-150
+        if math.exp(-theta) == 0.0:
+            assert kappa.values == (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_semicircle_flow_starts_at_its_root(self):
+        # both operands are semicircles, so the pair seed is the fixed point
+        for theta in (0.3, 1.0, 2.5):
+            ev = an.ou_semigroup(an.MeasureSpec.semicircle(0.4, 0.49), theta)
+            ev.cauchy(np.linspace(-3, 3, 257) + 1e-3j)
+            assert ev.peak_iterations == 0
+
     @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5])
     def test_semicircle_fixed_point(self, theta):
         m = an.moments_from_evaluator(an.ou_semigroup(SEMI, theta), 8)

@@ -1,5 +1,5 @@
 """Numpy kernels against scalar loop oracles and companion-matrix roots, and
-the n-fold seeds."""
+the n-fold and pair seeds."""
 
 import cmath
 import math
@@ -291,6 +291,44 @@ def test_pair_matches_loop_oracle():
         g = _kernels.cauchy_vals(o1, *da.descriptor())
         g_ref = _kernels.cauchy_vals(o1_ref, *da.descriptor())
         assert np.abs(g - g_ref).max() < 1e-10, da.kind
+
+
+@pytest.mark.parametrize("z", [GRID_Z, HIGH_Z], ids=["near-axis", "high"])
+def test_pair_seed_is_the_root_for_two_semicircles(z):
+    # a semicircle pair's sum is the semicircle of the summed mean and
+    # variance, so the seed settles at the first check
+    da, db = SEMI.dilate(0.7), MeasureSpec.semicircle(-0.3, 0.49)
+    _, _, iters, res = _kernels.pair_omega(z, *da.descriptor(), *db.descriptor())
+    assert iters.max() == 0
+    assert res.max() <= 1e-12
+
+
+def _pair_operand(kind, a, gap, pa, scale):
+    if kind == "atomic":
+        return MeasureSpec.atomic([(a, pa), (a + gap, 1.0 - pa)])
+    if kind == "semicircle":
+        return MeasureSpec.semicircle(a, gap * gap)
+    return SEMI_GRID.dilate(scale)
+
+
+_OPERAND = st.tuples(
+    st.sampled_from(["atomic", "semicircle", "grid"]),
+    st.floats(-10.0, 10.0),
+    st.floats(1e-3, 20.0),
+    st.floats(1e-3, 1.0 - 1e-3),
+    st.floats(1e-2, 5.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_OPERAND, b=_OPERAND, x=st.floats(-30.0, 30.0), y=st.floats(1e-4, 10.0))
+def test_pair_seed_is_finite_and_upper(a, b, x, y):
+    z = np.array([complex(x, y)])
+    da, db = _pair_operand(*a).descriptor(), _pair_operand(*b).descriptor()
+    w0 = _kernels._pair_seed(z, da, db)
+    assert np.all(np.isfinite(w0))
+    # the true subordination function satisfies Im omega >= Im z
+    assert np.all(w0.imag >= z.imag)
 
 
 def test_residual_is_measured_at_the_returned_point(monkeypatch):

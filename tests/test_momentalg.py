@@ -105,6 +105,15 @@ class TestMomentSequenceValidation:
     def test_genuine_measure_accepted(self):
         MomentSequence((1, 0, 1, 0, 2, 0, 5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_cumulant_rejected(self, bad):
+        with pytest.raises(ValueError, match="cumulants must be finite"):
+            FreeCumulantSequence((0.0, 1.0, bad))
+
+    def test_exact_cumulants_kept_as_given(self):
+        kappa = (Fraction(1, 3), 2, np.float64(0.5))
+        assert FreeCumulantSequence(kappa).values == kappa
+
     def test_truncated_is_the_prefix(self):
         m = MomentSequence((1, 0, 1, 0, 2, 0, 5))
         assert m.truncated(4) == MomentSequence((1, 0, 1, 0, 2))

@@ -376,10 +376,37 @@ class TestResolventLemma:
         got = ncsymb.resolvent_lemma_check(np.asfortranarray(a), r.T.copy().T, Z_TEST, 3)
         assert got == oracle_residual(a, r, Z_TEST, 3)
 
+    def test_battery_pairs_are_checked_without_an_svd(self, monkeypatch):
+        battery = ncsymb.random_matrix_battery(50, 6)
+        svd_calls = []
+        svd = np.linalg.svd
+
+        def counted_svd(*args, **kwargs):
+            svd_calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        for a, r in battery:
+            for q in range(1, 6):
+                assert ncsymb.resolvent_lemma_check(a, r, Z_TEST, q) == oracle_residual(a, r, Z_TEST, q)
+        # the oracle conditions each pair once; the check itself never does
+        assert len(svd_calls) == 250
+
+    def test_pair_outside_the_battery_replaces_the_kept_factors(self):
+        battery = ncsymb.random_matrix_battery(3, 4)
+        assert len(ncsymb._KEPT) == 3
+        a, r = seeded_pairs(1, 4)[0]
+        assert ncsymb.resolvent_lemma_check(a, r, Z_TEST, 2) == oracle_residual(a, r, Z_TEST, 2)
+        assert len(ncsymb._KEPT) == 1
+        a, r = battery[1]
+        assert ncsymb.resolvent_lemma_check(a, r, Z_TEST, 2) == oracle_residual(a, r, Z_TEST, 2)
+        assert len(ncsymb._KEPT) == 1
+
     def test_kept_factors_are_read_only(self):
-        a, r = ncsymb.random_matrix_battery(1, 3)[0]
-        for m in ncsymb._factors(a, r, Z_TEST):
-            assert not m.flags.writeable
+        battery = ncsymb.random_matrix_battery(4, 3)
+        for a, r in battery + seeded_pairs(1, 3):
+            for m in ncsymb._factors(a, r, Z_TEST):
+                assert not m.flags.writeable
 
 
 class TestBattery:
@@ -403,6 +430,23 @@ class TestBattery:
     def test_battery_keeps_the_pairs_of_the_condition_rule(self, count, dim):
         got, want = ncsymb.random_matrix_battery(count, dim, 5), oracle_battery(count, dim, 5)
         assert np.array_equal(np.array(got), np.array(want))
+
+    @pytest.mark.parametrize("limit", [1.3, 1.42, 1.55])
+    def test_redrawn_battery_keeps_the_pairs_of_the_condition_rule(self, limit, monkeypatch):
+        # at the default limit no pair of these sizes is refused; a limit near
+        # the condition numbers drawn refuses 10-90 % of the candidates, so
+        # the battery takes several rounds of draws
+        monkeypatch.setattr(ncsymb, "COND_LIMIT", limit)
+        got, want = ncsymb.random_matrix_battery(20, 4, 5), oracle_battery(20, 4, 5)
+        assert np.array_equal(np.array(got), np.array(want))
+        for a, r in got:
+            assert ncsymb.resolvent_lemma_check(a, r, Z_TEST, 3) == oracle_residual(a, r, Z_TEST, 3)
+
+    def test_battery_count_is_bounded(self):
+        assert len(ncsymb.random_matrix_battery(ncsymb.MAX_BATTERY, 1)) == ncsymb.MAX_BATTERY
+        assert len(ncsymb._KEPT) == ncsymb.MAX_BATTERY
+        with pytest.raises(ValueError, match=r"the battery count must be a whole number in \[1, 1000\]"):
+            ncsymb.random_matrix_battery(ncsymb.MAX_BATTERY + 1, 1)
 
     @pytest.mark.parametrize(
         "count, dim, what",
