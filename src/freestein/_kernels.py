@@ -94,10 +94,8 @@ def _nfold_seed(z, kind, c0, c1, xs, ys, nfold):
     if kind == 1:
         f_nu = _f_df_vec(1, nfold * c0, nfold * c1, xs, ys, z, deriv=False)[0]
         return (z + (nfold - 1.0) * f_nu) / nfold
-    mean = ys @ xs
-    dev = xs - mean
-    var = ys @ dev**2
-    c = mean + (ys @ dev**3) / var if var > 0.0 else mean
+    mean, var = _mean_var(kind, c0, c1, xs, ys)
+    c = mean + (ys @ (xs - mean) ** 3) / var if var > 0.0 else mean
     s2 = (nfold - 1.0) * var
     shifted = z - (nfold - 1.0) * mean
     return shifted - s2 / _f_df_vec(1, c, s2, xs, ys, shifted, deriv=False)[0]

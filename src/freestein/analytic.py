@@ -13,7 +13,6 @@ The moment extractor closes the loop with the cumulant engine of
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import sys
 import warnings
@@ -23,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels, momentalg
-from .errors import ConfigError, ConvergenceError, MassRecoveryWarning
+from .errors import (ConfigError, ConvergenceError, MassRecoveryWarning, _real,
+                     check_count, check_real)
 
 EPS_LADDER = (4e-3, 2e-3, 1e-3)
 # Lagrange weights for quadratic extrapolation of the ladder to eps = 0
@@ -36,29 +36,6 @@ MIN_GRID_POINTS = 64
 MAX_GRID_POINTS = 20_001
 # n-fold rows agree with a cancellation-free solve to 1e-7 relative up to here
 MAX_N = 10**6
-
-
-def _real(v) -> bool:
-    """The one test for a finite real; bools, strings and ints beyond float range fail."""
-    try:
-        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def check_count(v, what: str, lo: int, hi: int) -> int:
-    """The one count rule: a whole number in [lo, hi], 4 and 4.0 giving 4; else ValueError."""
-    if not (_real(v) and float(v).is_integer() and lo <= v <= hi):
-        raise ValueError(f"{what} must be a whole number in [{lo}, {hi}], got {v!r}")
-    return int(v)
-
-
-def check_real(v, what: str, lo: float = -math.inf) -> float:
-    """The one rule for a real: a finite real v >= lo, as a float; else ValueError."""
-    if not (_real(v) and v >= lo):
-        bound = "" if lo == -math.inf else f" >= {lo:g}"
-        raise ValueError(f"{what} must be a finite real{bound}, got {v!r}")
-    return float(v)
 
 
 def read_csv(path, header: str, kind: str) -> list:
@@ -254,6 +231,7 @@ class MeasureSpec:
 
     def moments(self, order: int) -> momentalg.MomentSequence:
         """Exact raw moments (quadrature for the grid variant)."""
+        order = check_count(order, "the moment order", 2, momentalg.MAX_ORDER)
         if self.kind == "atomic":
             vals = [
                 sum(w * p**j for p, w in self.atoms) for j in range(order + 1)
@@ -433,8 +411,7 @@ def moments_from_evaluator(evaluator, order: int) -> momentalg.MomentSequence:
 
         m_j = (1/pi) Re int_0^pi z(t)^j G(z(t)) R e^{it} dt,  z(t) = R e^{it}.
     """
-    if order > momentalg.MAX_ORDER:
-        raise ValueError(f"moment extraction capped at order {momentalg.MAX_ORDER}")
+    order = check_count(order, "the moment order", 2, momentalg.MAX_ORDER)
     radius = evaluator.support_radius + 1.0
     n_nodes = 256
     t = (np.arange(n_nodes) + 0.5) * math.pi / n_nodes

@@ -18,15 +18,8 @@ from pathlib import Path
 
 from . import experiment as ex
 from . import ncpart, stein
-from .analytic import (
-    MAX_N,
-    MeasureSpec,
-    check_count,
-    check_window,
-    nfold_convolve,
-    stieltjes_density,
-)
-from .errors import ConfigError, ConvergenceError, FitRefusalError
+from .analytic import MAX_N, MeasureSpec, check_window, nfold_convolve, stieltjes_density
+from .errors import ConfigError, ConvergenceError, FitRefusalError, check_count, check_real
 from .momentalg import MAX_ORDER, moments_to_cumulants, semicircle_moments
 
 EXIT_CONFIG = 2
@@ -139,13 +132,15 @@ def _parse_partition(blocks_json: str, n: int | None = None) -> ncpart.NcPartiti
 
 
 def _require(args, name: str, lo, hi=math.inf) -> None:
-    """Refuse the number argument ``name`` outside [lo, hi]."""
-    value = getattr(args, name)
-    if not lo <= value <= hi:
-        flag = "-n" if name == "n" else "--" + name.replace("_", "-")
-        upper = f" <= {hi}" if hi < math.inf else ""
+    """Refuse the number argument ``name`` outside [lo, hi] with a configuration error
+    naming the command and the flag; the test is check_real for a float ``lo``, else check_count."""
+    flag = "-n" if name == "n" else "--" + name.replace("_", "-")
+    rule = check_real if isinstance(lo, float) else check_count
+    try:
+        rule(getattr(args, name), flag, lo, hi)
+    except ValueError as exc:
         command = " ".join((args.command, getattr(args, "what", ""))).strip()
-        raise ConfigError(f"{command} needs {lo} <= {flag}{upper}, got {value}")
+        raise ConfigError(f"{command} {exc}") from exc
 
 
 def _cmd_nc(args) -> int:
@@ -195,7 +190,7 @@ def _cmd_berry_esseen(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    _require(args, "floor", 0.0, sys.float_info.max)
+    _require(args, "floor", 0.0)
     _require(args, "min_n", 0)
     points = ex.load_distance_column(args.csv, args.metric)
     points = [(n, d) for n, d in points if n >= args.min_n]

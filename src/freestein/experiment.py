@@ -25,8 +25,6 @@ from .analytic import (
     MAX_N,
     GridDensity,
     MeasureSpec,
-    check_count,
-    check_real,
     check_window,
     nfold_convolve,
     read_csv,
@@ -34,7 +32,8 @@ from .analytic import (
     stieltjes_density,
     write_atomic,
 )
-from .errors import ConfigError, ConvergenceError, FitRefusalError, MassRecoveryWarning
+from .errors import (ConfigError, ConvergenceError, FitRefusalError, MassRecoveryWarning,
+                     check_count, check_real)
 
 CSV_HEADER = "n,d_kol,d_tv,d_w1,mass_deficit,subord_iters,runtime_ms"
 ALL_METRICS = ("kol", "tv", "w1")

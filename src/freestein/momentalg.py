@@ -14,6 +14,8 @@ import operator
 
 import numpy as np
 
+from .errors import check_count
+
 HANKEL_TOL = 1e-10
 MATCH_TOL = 1e-12
 MAX_ORDER = 12
@@ -59,8 +61,7 @@ class MomentSequence:
 
     def truncated(self, order: int) -> "MomentSequence":
         """m_0..m_order; its Hankel matrix is a leading block of this one's."""
-        if not 2 <= order <= self.order:
-            raise ValueError(f"truncation order must lie in 2..{self.order}, got {order}")
+        order = check_count(order, "the truncation order", 2, self.order)
         return MomentSequence(self.values[: order + 1], validate=False)
 
     def __eq__(self, other) -> bool:
@@ -103,18 +104,18 @@ class FreeCumulantSequence:
         return f"FreeCumulantSequence({self.values})"
 
 
-def _check_order(order: int) -> None:
-    if order > MAX_ORDER:
-        raise ValueError(f"transforms capped at order {MAX_ORDER} (got {order})")
+def _check_order(order: int, what: str = "the transform order") -> int:
+    return check_count(order, what, 1, MAX_ORDER)
 
 
 def semicircle_moments(order: int) -> MomentSequence:
     """Moments of the standard semicircle, as exact ints.
 
     Odd moments vanish; m_{2k} = binom(2k, k)/(k+1) is the Catalan number.
+    The order is capped at 2 MAX_ORDER, the top of the Hankel matrix of the
+    transforms' cap.
     """
-    if order < 2:
-        raise ValueError("order must be >= 2")
+    order = check_count(order, "the moment order", 2, 2 * MAX_ORDER)
     return MomentSequence(
         [0 if j % 2 else math.comb(j, j // 2) // (j // 2 + 1) for j in range(order + 1)],
         validate=False,
@@ -231,9 +232,7 @@ def mixed_moment(kappa_a: FreeCumulantSequence, m_b: MomentSequence, n: int):
     M = 1 + zH A(zH), H = M B(zQ) and Q = M A(zH).  [z^n] M needs h_{<n},
     and h_n, q_n need m_{<=n}: one exact loop over n, as in :func:`_series`.
     """
-    if n < 1:
-        raise ValueError(f"mixed moments need n >= 1 (got {n})")
-    _check_order(n)
+    n = _check_order(n, "the word length n")
     if kappa_a.order < n or m_b.order < n:
         raise ValueError("sequences truncated below the requested length")
     ka, kb = kappa_a.values, _series(m_b.values[1 : n + 1], invert=True)[1]

@@ -33,23 +33,21 @@ from __future__ import annotations
 import itertools
 import math
 
+from .errors import check_count
+
 MAX_GROUND_SET = 12
 MAX_CATALAN = 30
 
 
 def catalan(n: int) -> int:
     """Catalan number C_n = binom(2n, n)/(n+1), exact."""
-    if n < 0:
-        raise ValueError("catalan expects a non-negative index")
-    if n > MAX_CATALAN:
-        raise ValueError(f"catalan capped at n = {MAX_CATALAN}")
+    n = check_count(n, "the Catalan index n", 0, MAX_CATALAN)
     return math.comb(2 * n, n) // (n + 1)
 
 
 def bell(n: int) -> int:
     """Bell number B_n (number of set partitions of [n])."""
-    if n < 0:
-        raise ValueError("bell expects a non-negative index")
+    n = check_count(n, "the Bell index n", 0, MAX_CATALAN)
     row = [1]
     for _ in range(n):
         nxt = [row[-1]]
@@ -75,6 +73,7 @@ class NcPartition:
             self.n = n
             self.blocks = blocks
         else:
+            n = check_count(n, "the ground set size n", 0, math.inf)
             canon = tuple(tuple(sorted(b)) for b in blocks)
             if not all(canon):
                 raise ValueError(f"a partition has no empty block: {blocks}")
@@ -97,11 +96,13 @@ class NcPartition:
     @classmethod
     def zero(cls, n: int) -> "NcPartition":
         """The finest partition (all singletons)."""
+        n = check_count(n, "the ground set size n", 0, math.inf)
         return cls(n, tuple((i,) for i in range(1, n + 1)), _validated=True)
 
     @classmethod
     def one(cls, n: int) -> "NcPartition":
         """The coarsest partition (a single block)."""
+        n = check_count(n, "the ground set size n", 0, math.inf)
         return cls(n, (tuple(range(1, n + 1)),), _validated=True)
 
     def __len__(self) -> int:
@@ -141,9 +142,8 @@ def _block_sizes(blocks) -> tuple:
     return tuple(sorted(map(len, blocks), reverse=True))
 
 
-def _check_bound(n: int) -> None:
-    if not 1 <= n <= MAX_GROUND_SET:
-        raise ValueError(f"enumeration supported for 1 <= n <= {MAX_GROUND_SET}, got {n}")
+def _check_bound(n: int) -> int:
+    return check_count(n, "the ground set size n", 1, MAX_GROUND_SET)
 
 
 def is_noncrossing(p: NcPartition) -> bool:
@@ -182,8 +182,7 @@ def nc_blocks(n: int):
     i in descending order.  Each placement of 1..n-1 is expanded into its
     1 + #open leaves, one per choice of n.
     """
-    _check_bound(n)
-    return _leaves(n)
+    return _leaves(_check_bound(n))
 
 
 def count_nc(n: int) -> int:
@@ -198,7 +197,7 @@ def count_nc(n: int) -> int:
     is O(n^2) integer additions, and it checks :func:`catalan`
     independently of it.
     """
-    _check_bound(n)
+    n = _check_bound(n)
     ways = [1]  # ways[k]: placements of the elements so far with k open blocks
     for _ in range(1, n):
         ways = [0, *reversed(list(itertools.accumulate(reversed(ways))))]

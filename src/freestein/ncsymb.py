@@ -23,7 +23,7 @@ stack, and ``_factors`` keeps g(A), g(A+R) and Delta g(A) of every pair of
 the last battery, or else of the last accepted pair, so each pair is
 conditioned and inverted once however many q are checked on it.  Counts
 (q, j, the battery size, the matrix dimension) are read through
-``analytic.check_count``.
+``errors.check_count``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import random
 
 import numpy as np
 
-from .analytic import _real, check_count
+from .errors import _real, check_count
 
 MAX_TERMS = 100_000
 MAX_MATRIX_DIM = 12

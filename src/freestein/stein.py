@@ -31,8 +31,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import MeasureSpec, check_real
+from .analytic import MeasureSpec
+from .errors import check_count, check_real
 from .momentalg import (
+    MAX_ORDER,
     FreeCumulantSequence,
     MomentSequence,
     cumulants_to_moments,
@@ -107,10 +109,7 @@ def generator_apply(m: MomentSequence, p: int):
     Equals -p m_p + p sum_{l=0}^{p-2} m_l m_{p-2-l} = -p d_{p-1}, with d the
     :func:`stein_discrepancy` vector; identically zero on the semicircle.
     """
-    if p < 1:
-        raise ValueError("power must be >= 1")
-    if p > m.order:
-        raise ValueError(f"power {p} exceeds truncation order {m.order}")
+    p = check_count(p, "the power p", 1, m.order)
     return -p * _gap(m, p - 1)
 
 
@@ -142,10 +141,9 @@ def finite_difference_table(m: MomentSequence, order: int, theta_step: float) ->
     exact, so the only error is the O(theta_step) finite-difference bias
     against :func:`generator_apply`.
     """
-    if not 1 <= order <= m.order:
-        raise ValueError(f"order must lie in 1..{m.order}, the order of the moments")
-    if not 0 < theta_step <= MAX_THETA_STEP:
-        raise ValueError(f"theta_step must lie in (0, {MAX_THETA_STEP:g}]")
+    order = check_count(order, "the table order", 1, m.order)
+    # (0, MAX_THETA_STEP]: the least positive float is the least step
+    theta_step = check_real(theta_step, "theta_step", math.ulp(0.0), MAX_THETA_STEP)
     m0 = m.truncated(max(order, 2))
     m1 = evolved_moments(m0, theta_step)
     return [(float(m1[p]) - float(m0[p])) / theta_step for p in range(1, order + 1)]
@@ -153,8 +151,7 @@ def finite_difference_table(m: MomentSequence, order: int, theta_step: float) ->
 
 def generator_finite_difference(mu: MeasureSpec, p: int, theta_step: float) -> float:
     """Entry p of :func:`finite_difference_table` for the law mu."""
-    if p < 1:
-        raise ValueError("power must be >= 1")
+    p = check_count(p, "the power p", 1, MAX_ORDER)
     return finite_difference_table(mu.moments(max(p, 2)), p, theta_step)[p - 1]
 
 
@@ -185,8 +182,7 @@ def monomial_pairings(m: MomentSequence, deg: int) -> list:
     deg//2 + 2 nodes on [0, 1] integrates it exactly for every p <= deg,
     with one cumulant evolution per node.
     """
-    if deg > 8:
-        raise ValueError("test polynomials capped at degree 8")
+    deg = check_count(deg, "the test polynomial degree deg", 0, 8)
     kappa = moments_to_cumulants(m.truncated(max(deg, 2)))
     table = [0.0] * (deg + 1)
     for xi, wi in zip(*_gauss_legendre(deg // 2 + 2)):

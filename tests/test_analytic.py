@@ -441,8 +441,14 @@ class TestMomentsFromEvaluator:
         assert max(abs(float(a) - b) for a, b in zip(m.values, expect)) < 1e-6
 
     def test_order_cap_is_the_transform_cap(self):
-        with pytest.raises(ValueError, match=f"capped at order {ma.MAX_ORDER}"):
-            an.moments_from_evaluator(an.MeasureEvaluator(SEMI), ma.MAX_ORDER + 1)
+        # an atomic order of 2_000_000 took 1.5 s before its bound
+        cap = rf"the moment order must be a whole number in \[2, {ma.MAX_ORDER}\]"
+        for order in (1, ma.MAX_ORDER + 1, 2_000_000, True, 2.5):
+            with pytest.raises(ValueError, match=cap):
+                an.moments_from_evaluator(an.MeasureEvaluator(SEMI), order)
+            for mu in (BERN, SEMI):
+                with pytest.raises(ValueError, match=cap):
+                    mu.moments(order)
 
     def test_mass_is_one(self):
         for mu in (BERN, ASYM, SEMI):

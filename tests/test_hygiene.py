@@ -8,8 +8,11 @@ package beyond its definition, so that helpers whose last caller went
 do not linger as test-only code.  The exact stack's command line loads
 no module it does not need: ``numpy.polynomial`` (a few milliseconds) is
 not imported by ``stein-check``, nor ``numpy.random`` (about 6 MB) by the
-seeded matrix battery.  The version is written once, as
-``freestein.__version__``, and ``pyproject.toml`` reads it from there.
+seeded matrix battery.  The lattice, the transforms and the word algebra
+import nothing from ``analytic``: the number rule they share lives in
+``errors``, so they do not pull in the Cauchy-transform engine.  The
+version is written once, as ``freestein.__version__``, and
+``pyproject.toml`` reads it from there.
 """
 
 import ast
@@ -93,6 +96,26 @@ def test_private_checker_sees_defined_and_referenced_names():
     assert private_definitions(source) == [(1, "_A"), (2, "_B"), (4, "_f"), (6, "_C")]
     refs = references(source)
     assert {"_A", "_f"} <= refs and not {"_B", "_C", "_tmp", "__all__"} & refs
+
+
+def package_imports(source: str) -> set:
+    """Modules of the package a module imports from: ``from .x import ...`` gives x,
+    ``from . import x`` gives x."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.update([node.module] if node.module else (alias.name for alias in node.names))
+    return out
+
+
+@pytest.mark.parametrize("name", ["ncpart", "momentalg", "ncsymb"])
+def test_exact_stack_does_not_import_analytic(name):
+    assert "analytic" not in package_imports((SRC / f"{name}.py").read_text())
+
+
+def test_package_import_checker_sees_both_forms():
+    source = "from .errors import a\nfrom . import analytic, metrics as m\nimport numpy\n"
+    assert package_imports(source) == {"errors", "analytic", "metrics"}
 
 
 def imported_modules(*args) -> set:

@@ -201,9 +201,9 @@ class TestEnumeration:
         rgs = [p.rgs() for p in parts]
         assert rgs == sorted(rgs)
 
-    @pytest.mark.parametrize("n", [0, 13])
+    @pytest.mark.parametrize("n", [0, 13, True, 2.5])
     def test_enumeration_bounds(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"the ground set size n must be a whole number in \[1, 12\]"):
             ncpart.enumerate_nc(n)
 
     @pytest.mark.parametrize("n", range(1, 12))
@@ -216,6 +216,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_count_nc_is_catalan(self, n):
         assert ncpart.count_nc(n) == math.comb(2 * n, n) // (n + 1) == ncpart.catalan(n)
+        # a whole float is read as its int
+        assert ncpart.count_nc(float(n)) == ncpart.catalan(float(n)) == ncpart.catalan(n)
 
     def test_count_nc_walks_nothing(self, monkeypatch):
         def walk(*args):
@@ -232,11 +234,12 @@ class TestEnumeration:
         assert next(walk) == NcPartition.zero(5).blocks
         assert list(ncpart.nc_blocks(5)) == list(ncpart.nc_blocks(5))
 
-    @pytest.mark.parametrize("n", [0, 13])
+    @pytest.mark.parametrize("n", [0, 13, True, 2.5])
     def test_nc_blocks_bounds(self, n):
-        with pytest.raises(ValueError):
+        # refused at the call, before the walk starts
+        with pytest.raises(ValueError, match=r"the ground set size n must be a whole number in \[1, 12\]"):
             ncpart.nc_blocks(n)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"the ground set size n must be a whole number in \[1, 12\]"):
             ncpart.count_nc(n)
 
     @pytest.mark.parametrize("n", range(1, 31))
@@ -389,10 +392,16 @@ class TestMobius:
         with pytest.raises(ValueError):
             ncpart.mobius(NcPartition.zero(4), NcPartition(4, [(1, 3), (2, 4)]))
 
-    @pytest.mark.parametrize("n", [0, 13])
+    @pytest.mark.parametrize("n", [0, 13, True, 2.5, -1])
     def test_ground_set_bounds(self, n):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the ground set size n must be a whole number"):
             ncpart.mobius(NcPartition.zero(n), NcPartition.zero(n))
+        if n in (0, 13):  # a partition's ground set is any whole n >= 0
+            return
+        any_size = r"the ground set size n must be a whole number in \[0, inf\]"
+        for make in (NcPartition.zero, NcPartition.one, lambda k: NcPartition(k, [])):
+            with pytest.raises(ValueError, match=any_size):
+                make(n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_geodesic_rejects_exactly_the_bad_pairs(self, n):
@@ -428,10 +437,12 @@ class TestCatalanBell:
             assert c * (n + 1) == math.comb(2 * n, n)
 
     def test_catalan_bounds(self):
-        with pytest.raises(ValueError):
-            ncpart.catalan(31)
-        with pytest.raises(ValueError):
-            ncpart.catalan(-1)
+        # bell(2000) took over a second before its bound
+        for n in (-1, 31, 2000, True, 2.5):
+            with pytest.raises(ValueError, match=r"the Catalan index n must be a whole number in \[0, 30\]"):
+                ncpart.catalan(n)
+            with pytest.raises(ValueError, match=r"the Bell index n must be a whole number in \[0, 30\]"):
+                ncpart.bell(n)
 
     def test_bell_values(self):
         assert [ncpart.bell(n) for n in range(11)] == BELL

@@ -120,10 +120,19 @@ class TestGeneratorApply:
             assert got == -p * d[p - 1]
 
     def test_power_bounds(self):
-        with pytest.raises(ValueError):
-            stein.generator_apply(BERNOULLI, 0)
-        with pytest.raises(ValueError):
-            stein.generator_apply(BERNOULLI, 5)
+        # BERNOULLI has order 4: the power p and the table order lie in 1..4
+        bern = MEASURE_BATTERY[1]
+        cases = [
+            (lambda v: stein.generator_apply(BERNOULLI, v), (0, 5), "the power p", "1, 4"),
+            (lambda v: stein.finite_difference_table(BERNOULLI, v, 1e-5), (0, 5), "the table order", "1, 4"),
+            (lambda v: stein.generator_finite_difference(bern, v, 1e-5), (0, 13), "the power p", "1, 12"),
+            (lambda v: stein.monomial_pairings(BERNOULLI, v), (-1, 9),
+             "the test polynomial degree deg", "0, 8"),
+        ]
+        for call, ends, what, bounds in cases:
+            for v in (*ends, True, 2.5):
+                with pytest.raises(ValueError, match=rf"{what} must be a whole number in \[{bounds}\]"):
+                    call(v)
 
 
 class TestGeneratorConsistency:
@@ -152,10 +161,12 @@ class TestGeneratorConsistency:
             assert abs(fd) < 1e-6
 
     def test_step_bounds(self):
-        with pytest.raises(ValueError):
-            stein.generator_finite_difference(MEASURE_BATTERY[0], 2, 0.0)
-        with pytest.raises(ValueError):
-            stein.generator_finite_difference(MEASURE_BATTERY[0], 2, 1e-2)
+        m = MEASURE_BATTERY[0].moments(4)
+        for theta_step in (0.0, -1e-5, 1e-2, True, 2.5, math.nan, math.inf, "1e-5"):
+            with pytest.raises(ValueError, match=r"theta_step must be a finite real .* <= 0.001"):
+                stein.generator_finite_difference(MEASURE_BATTERY[0], 2, theta_step)
+            with pytest.raises(ValueError, match=r"theta_step must be a finite real .* <= 0.001"):
+                stein.finite_difference_table(m, 2, theta_step)
 
     @pytest.mark.parametrize("p", [0, -1, -3])
     def test_power_below_one_rejected(self, p):
