@@ -122,11 +122,9 @@ def _parse_partition(blocks_json: str, n: int | None = None) -> ncpart.NcPartiti
     try:
         blocks = json.loads(blocks_json)
         if n is None:
-            n = sum(len(b) for b in blocks)
+            n = sum(map(len, blocks))
         check_count(n, "the ground set size", 1, ncpart.MAX_GROUND_SET)
-        return ncpart.NcPartition.noncrossing(
-            n, [tuple(check_count(e, "a partition element", 1, n) for e in b) for b in blocks]
-        )
+        return ncpart.NcPartition.noncrossing(n, blocks)
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad partition {blocks_json!r}: {exc}") from exc
 

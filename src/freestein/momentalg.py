@@ -14,7 +14,7 @@ import operator
 
 import numpy as np
 
-from .errors import check_count
+from .errors import _real, check_count
 
 HANKEL_TOL = 1e-10
 MATCH_TOL = 1e-12
@@ -177,7 +177,9 @@ def free_convolve_cumulants(a: MomentSequence, b: MomentSequence) -> MomentSeque
 
 
 def dilate_moments(m: MomentSequence, r) -> MomentSequence:
-    """Pushforward under x -> r*x: m_j -> r^j m_j."""
+    """Pushforward under x -> r*x: m_j -> r^j m_j, for a finite real r != 0 (kept exact)."""
+    if not _real(r):
+        raise ValueError(f"the dilation r must be a finite real, got {r!r}")
     if r == 0:
         raise ValueError("dilation by 0 is degenerate")
     return MomentSequence(
@@ -186,7 +188,9 @@ def dilate_moments(m: MomentSequence, r) -> MomentSequence:
 
 
 def shift_moments(m: MomentSequence, c) -> MomentSequence:
-    """Pushforward under x -> x + c (binomial re-expansion)."""
+    """Pushforward under x -> x + c (binomial re-expansion), for a finite real c (kept exact)."""
+    if not _real(c):
+        raise ValueError(f"the shift c must be a finite real, got {c!r}")
     n = m.order
     out = []
     for j in range(n + 1):

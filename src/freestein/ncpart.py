@@ -62,7 +62,8 @@ class NcPartition:
 
     Blocks are stored sorted internally and ordered by their least element,
     so equality is structural.  Instances are immutable and hashable.  The
-    plain constructor accepts any partition (crossing or not); use
+    plain constructor accepts any partition (crossing or not) and reads
+    every element through ``check_count`` as a whole number in 1..n; use
     :meth:`noncrossing` when the input is required to be non-crossing.
     """
 
@@ -74,12 +75,13 @@ class NcPartition:
             self.blocks = blocks
         else:
             n = check_count(n, "the ground set size n", 0, math.inf)
-            canon = tuple(tuple(sorted(b)) for b in blocks)
+            # sorted blocks that are disjoint compare by their least element
+            canon = tuple(sorted(
+                tuple(sorted(check_count(e, "a partition element", 1, n) for e in b)) for b in blocks
+            ))
             if not all(canon):
                 raise ValueError(f"a partition has no empty block: {blocks}")
-            canon = tuple(sorted(canon, key=lambda b: b[0]))
-            seen = [e for b in canon for e in b]
-            if sorted(seen) != list(range(1, n + 1)):
+            if sorted(itertools.chain.from_iterable(canon)) != list(range(1, n + 1)):
                 raise ValueError(f"blocks do not partition [{n}]: {blocks}")
             self.n = n
             self.blocks = canon

@@ -2,9 +2,9 @@
 
 Polynomials live in the free algebra on A and R, with coefficients that
 are themselves polynomials in a commuting scalar z (stored as coefficient
-tuples, constant term first).  Words are canonical run-length tuples like
-``(("A", 2), ("R", 1))`` for A^2 R; adjacent equal letters merge and zero
-coefficients are pruned.
+tuples, constant term first).  A word is a string over "A" and "R" of at
+most MAX_WORD letters, "AAR" for A^2 R, so concatenation is the monoid
+product and every word is canonical; zero coefficients are pruned.
 
 The module implements the interpolation polynomial
 
@@ -22,8 +22,8 @@ distinct left coefficient.  A battery is conditioned and inverted as one
 stack, and ``_factors`` keeps g(A), g(A+R) and Delta g(A) of every pair of
 the last battery, or else of the last accepted pair, so each pair is
 conditioned and inverted once however many q are checked on it.  Counts
-(q, j, the battery size, the matrix dimension) are read through
-``errors.check_count``.
+(q, j, the battery size, the matrix dimension, letter exponents and word
+lengths) are read through ``errors.check_count``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 from .errors import _real, check_count
 
 MAX_TERMS = 100_000
+MAX_WORD = 256  # letters in a word, a byte each; a word of (A Delta)^6 has at most 18
 MAX_MATRIX_DIM = 12
 COND_LIMIT = 1e8
 # kept factors of at most about 7 MB at dim 12, with 5 MB of keys
@@ -74,16 +75,6 @@ def _zp_eval(c: tuple, z: complex) -> complex:
     return acc
 
 
-def _word_concat(w1: tuple, w2: tuple) -> tuple:
-    if not w1:
-        return w2
-    if not w2:
-        return w1
-    if w1[-1][0] == w2[0][0]:
-        return w1[:-1] + ((w1[-1][0], w1[-1][1] + w2[0][1]),) + w2[1:]
-    return w1 + w2
-
-
 class NcPolynomial:
     """A finite sum of words in A, R with z-polynomial coefficients."""
 
@@ -92,25 +83,28 @@ class NcPolynomial:
     def __init__(self, terms=None):
         clean = {}
         for word, coeff in (terms or {}).items():
+            if not isinstance(word, str) or word.strip("AR"):
+                raise ValueError(f"a word is a string over 'A' and 'R', got {word!r}")
+            check_count(len(word), "the word length", 0, MAX_WORD)
             c = _zp_trim(tuple(coeff))
             if c:
-                clean[tuple(word)] = c
+                clean[word] = c
         self.terms = clean
 
     @classmethod
     def unit(cls) -> "NcPolynomial":
-        return cls({(): (1,)})
+        return cls({"": (1,)})
 
     @classmethod
     def letter(cls, name: str, exp: int = 1) -> "NcPolynomial":
         if name not in ("A", "R"):
             raise ValueError("letters are 'A' and 'R'")
-        return cls({((name, exp),): (1,)})
+        return cls({name * check_count(exp, "the letter exponent", 0, MAX_WORD): (1,)})
 
     @classmethod
     def scalar(cls, coeff) -> "NcPolynomial":
         """Constant-in-word polynomial; coeff is a z-coefficient tuple."""
-        return cls({(): tuple(coeff)})
+        return cls({"": tuple(coeff)})
 
     @property
     def n_terms(self) -> int:
@@ -141,6 +135,8 @@ class NcPolynomial:
         sums come trimmed, so only the sums that cancelled are dropped.
         """
         right = list(other.terms.items())
+        longest = max(map(len, self.terms), default=0) + max(map(len, other.terms), default=0)
+        check_count(longest, "the longest product word length", 0, MAX_WORD)
         rows, out = {}, {}
         for w1, c1 in self.terms.items():
             key = (c1, tuple(map(type, c1)))
@@ -148,7 +144,7 @@ class NcPolynomial:
             if prods is None:
                 prods = rows[key] = [_zp_mul(c1, c2) for _, c2 in right]
             for (w2, _), prod in zip(right, prods):
-                w = _word_concat(w1, w2)
+                w = w1 + w2
                 if w in out:
                     out[w] = _zp_add(out[w], prod)
                     continue
@@ -167,30 +163,20 @@ class NcPolynomial:
             acc = acc * self
         return acc
 
-    def coefficient(self, word) -> tuple:
-        """z-polynomial coefficient of a canonical word."""
-        return self.terms.get(tuple(word), ())
+    def coefficient(self, word: str) -> tuple:
+        """z-polynomial coefficient of a word."""
+        return self.terms.get(word, ())
 
     def __repr__(self) -> str:
         if not self.terms:
             return "NcPolynomial(0)"
-        bits = []
-        for w, c in sorted(self.terms.items()):
-            word = "".join(f"{ltr}^{e}" if e > 1 else ltr for ltr, e in w) or "1"
-            bits.append(f"({c})*{word}")
+        bits = [f"({c})*{w or '1'}" for w, c in sorted(self.terms.items())]
         return "NcPolynomial(" + " + ".join(bits) + ")"
 
 
 def delta_poly() -> NcPolynomial:
     """Delta = 2 z R - A R - R A - R^2 (the symmetrised (z-a)r minus r^2)."""
-    return NcPolynomial(
-        {
-            (("R", 1),): (0, 2),
-            (("A", 1), ("R", 1)): (-1,),
-            (("R", 1), ("A", 1)): (-1,),
-            (("R", 2),): (-1,),
-        }
-    )
+    return NcPolynomial({"R": (0, 2), "AR": (-1,), "RA": (-1,), "RR": (-1,)})
 
 
 def a_delta() -> NcPolynomial:
@@ -203,20 +189,16 @@ def expand_power(p: NcPolynomial, j: int) -> NcPolynomial:
     return p ** check_count(j, "the power j", 0, 6)
 
 
-def core_multi_index(word) -> tuple:
-    """Run exponents of a word after stripping leading/trailing A-runs.
+def core_multi_index(word: str) -> tuple:
+    """Run lengths of a word after stripping its leading and trailing A-runs.
 
-    This is the multi-index whose length is bounded by the expansion
-    support condition: every word of (A Delta)^j has a core of fewer than
-    2j runs (the boundary A-runs are absorbed by adjacent resolvent
-    factors in the estimates that consume the expansion).
+    "AARARRA" gives (1, 1, 2).  This is the multi-index whose length is
+    bounded by the expansion support condition: every word of (A Delta)^j
+    has a core of fewer than 2j runs (the boundary A-runs are absorbed by
+    adjacent resolvent factors in the estimates that consume the expansion).
     """
-    runs = list(word)
-    if runs and runs[0][0] == "A":
-        runs = runs[1:]
-    if runs and runs[-1][0] == "A":
-        runs = runs[:-1]
-    return tuple(e for _, e in runs)
+    # a space at each change of letter splits the core into its runs
+    return tuple(map(len, word.strip("A").replace("AR", "A R").replace("RA", "R A").split()))
 
 
 def _square_pair(a_val, r_val) -> tuple:
@@ -232,16 +214,15 @@ def _square_pair(a_val, r_val) -> tuple:
 def eval_matrix(
     p: NcPolynomial, a_val: np.ndarray, r_val: np.ndarray, z_val: complex
 ) -> np.ndarray:
-    """Substitute square matrices for A, R and a scalar for z."""
+    """Substitute square matrices for A, R and a scalar for z; a run is one matrix power."""
     a, r = _square_pair(a_val, r_val)
     d = a.shape[0]
     out = np.zeros((d, d), dtype=complex)
     eye = np.eye(d, dtype=complex)
     for word, coeff in p.terms.items():
         acc = eye
-        for letter, exp in word:
-            base = a if letter == "A" else r
-            acc = acc @ np.linalg.matrix_power(base, exp)
+        for run in word.replace("AR", "A R").replace("RA", "R A").split():
+            acc = acc @ np.linalg.matrix_power(a if run[0] == "A" else r, len(run))
         out = out + _zp_eval(coeff, z_val) * acc
     return out
 

@@ -199,9 +199,10 @@ def dual_stein_pairing(mu: MeasureSpec, h) -> float:
 
     Solves the dual Stein equation: the result equals <s, h> - <mu, h>.
     The pairing is linear in h, so it is sum_p c_p times the
-    :func:`monomial_pairings` table.
+    :func:`monomial_pairings` table.  The degree of h, read from its
+    coefficients, is 0..8, checked before any moment of mu is computed.
     """
-    coeffs = tuple(float(c) for c in h)
-    deg = max(len(coeffs) - 1, 0)
+    coeffs = tuple(map(float, h))
+    deg = check_count(max(len(coeffs) - 1, 0), "the degree of h", 0, 8)
     table = monomial_pairings(mu.moments(max(deg, 2)), deg)
     return sum(c * t for c, t in zip(coeffs, table))

@@ -12,10 +12,13 @@ seeded matrix battery.  The lattice, the transforms and the word algebra
 import nothing from ``analytic``: the number rule they share lives in
 ``errors``, so they do not pull in the Cauchy-transform engine.  The
 version is written once, as ``freestein.__version__``, and
-``pyproject.toml`` reads it from there.
+``pyproject.toml`` reads it from there.  Every (module, function) pair the
+benchmark's tracer wraps is a callable of that module, so renaming a
+traced function fails here rather than in a benchmark run.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -162,3 +165,27 @@ def test_version_has_one_source():
     assert "version" in project["project"]["dynamic"]
     dynamic = project["tool"]["setuptools"]["dynamic"]
     assert dynamic["version"] == {"attr": "freestein.__version__"}
+
+
+def traced_targets(source: str) -> list:
+    """The literal ``TARGETS`` tuple of a module's source, read without importing it."""
+    for node in ast.parse(source).body:
+        names = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+        if names == ["TARGETS"]:
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("no TARGETS assignment")
+
+
+def test_traced_functions_exist():
+    targets = traced_targets((ROOT / "perfbench" / "tracing.py").read_text())
+    assert ("ncsymb", "expand_power") in targets
+    missing = [
+        (module, name) for module, name in targets
+        if not callable(getattr(importlib.import_module(f"freestein.{module}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_target_reader_sees_only_the_literal():
+    source = "X = 1\na, b = 2, 3\nTARGETS = (\n    ('a', 'f'),\n    ('_b', 'g'),\n)\nTARGETS_TOO = ()\n"
+    assert traced_targets(source) == [("a", "f"), ("_b", "g")]

@@ -285,6 +285,22 @@ class TestShift:
         assert abs((m[2] - m[1] ** 2) - 1.0) < 1e-15
 
 
+class TestPushforwardArguments:
+    @pytest.mark.parametrize("v", [float("nan"), float("inf"), -float("inf"), True, "2", None, 10**400])
+    def test_non_finite_or_non_real_refused(self, v):
+        m = ma.semicircle_moments(4)
+        with pytest.raises(ValueError, match="the dilation r must be a finite real"):
+            ma.dilate_moments(m, v)
+        with pytest.raises(ValueError, match="the shift c must be a finite real"):
+            ma.shift_moments(m, v)
+
+    def test_int_and_fraction_stay_exact(self):
+        m = ma.semicircle_moments(4)
+        assert ma.dilate_moments(m, Fraction(1, 2)).values == (1, 0, Fraction(1, 4), 0, Fraction(1, 8))
+        assert ma.shift_moments(m, 2).values == (1, 2, 5, 14, 42)
+        assert all(type(v) is int for v in ma.shift_moments(m, 2).values)
+
+
 class TestMixedMoment:
     def test_n1_factorizes(self):
         a = atomic_moments([(2.0, 0.2), (-0.5, 0.8)], 4)

@@ -286,6 +286,19 @@ class TestCrossing:
         with pytest.raises(ValueError):
             NcPartition.noncrossing(4, [(1, 3), (2, 4)])
 
+    @pytest.mark.parametrize(
+        "blocks", [[(True, 2.0)], [(1, 2.5)], [("1", 2)], [(None, 2)], [(0, 1, 2)], [(1, 3)]]
+    )
+    def test_elements_are_whole_numbers_in_1_to_n(self, blocks):
+        with pytest.raises(ValueError, match=r"a partition element must be a whole number in \[1, 2\]"):
+            NcPartition(2, blocks)
+
+    def test_whole_float_elements_read_as_ints(self):
+        p = NcPartition(2, [(1.0, 2.0)])
+        assert p == NcPartition(2, [(1, 2)])
+        assert p.blocks == ((1, 2),) and all(type(e) is int for e in p.blocks[0])
+        assert ncpart.kreweras(p) == NcPartition.zero(2)
+
     @pytest.mark.parametrize("n, blocks", [(0, [()]), (2, [(), (1, 2)])])
     def test_empty_block_rejected(self, n, blocks):
         with pytest.raises(ValueError, match="empty block"):

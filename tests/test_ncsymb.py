@@ -22,7 +22,7 @@ def oracle_mul(p, q):
     out = {}
     for w1, c1 in p.terms.items():
         for w2, c2 in q.terms.items():
-            w = ncsymb._word_concat(w1, w2)
+            w = w1 + w2
             prod = ncsymb._zp_mul(c1, c2)
             out[w] = ncsymb._zp_add(out.get(w, ()), prod) if w in out else prod
     return NcPolynomial(out)
@@ -91,7 +91,37 @@ class TestPolynomialAlgebra:
 
     def test_word_merge(self):
         prod = A * A * R
-        assert list(prod.terms) == [(("A", 2), ("R", 1))]
+        assert list(prod.terms) == ["AAR"]
+
+    def test_written_out_word_equals_the_letter_power(self):
+        assert NcPolynomial({"AA": (1,)}) == NcPolynomial.letter("A", 2)
+        assert NcPolynomial.letter("A", 0) == NcPolynomial.unit()
+        assert NcPolynomial.letter("R", 3).coefficient("RRR") == (1,)
+        assert NcPolynomial.letter("R", 2.0) == NcPolynomial({"RR": (1,)})
+
+    @pytest.mark.parametrize("word", ["AB", "a", "A R", ("A", 1), (("A", 2),), 3, None])
+    def test_words_outside_a_and_r_are_refused(self, word):
+        with pytest.raises(ValueError, match="a word is a string over 'A' and 'R'"):
+            NcPolynomial({word: (1,)})
+
+    @pytest.mark.parametrize("exp", [-1, 2.5, True, "2", None, float("nan")])
+    def test_letter_exponent_is_a_whole_number(self, exp):
+        with pytest.raises(ValueError, match=r"the letter exponent must be a whole number"):
+            NcPolynomial.letter("A", exp)
+
+    def test_word_length_is_bounded(self):
+        longest = NcPolynomial.letter("A", ncsymb.MAX_WORD)
+        assert NcPolynomial({"R" * ncsymb.MAX_WORD: (1,)}).n_terms == 1
+        with pytest.raises(ValueError, match=r"the letter exponent must be a whole number in \[0, 256\]"):
+            NcPolynomial.letter("A", ncsymb.MAX_WORD + 1)
+        with pytest.raises(ValueError, match=r"the word length must be a whole number in \[0, 256\]"):
+            NcPolynomial({"A" * (ncsymb.MAX_WORD + 1): (1,)})
+        assert (longest * NcPolynomial.scalar((2,))).coefficient("A" * ncsymb.MAX_WORD) == (2,)
+        half = NcPolynomial.letter("A", ncsymb.MAX_WORD // 2)
+        assert (half * half).coefficient("A" * ncsymb.MAX_WORD) == (1,)
+        for left, right in ((longest, R), (R, longest), (longest + R, A + R), (half * half, half)):
+            with pytest.raises(ValueError, match="the longest product word length"):
+                left * right
 
     def test_addition_cancels(self):
         zero = A - A
@@ -136,7 +166,7 @@ class TestPolynomialAlgebra:
     def test_cancelled_word_is_dropped(self):
         p = A + NcPolynomial.letter("A", 2).scale((0.5, 1.0))
         q = A.scale((-1.0, -2.0)) + NcPolynomial.scalar((2.0,))
-        assert list((p * q).terms) == [(("A", 1),), (("A", 3),)]
+        assert list((p * q).terms) == ["A", "AAA"]
 
     def test_blowup_guard(self):
         dense = NcPolynomial.unit()
@@ -153,10 +183,10 @@ class TestDeltaPoly:
 
     def test_coefficients(self):
         d = ncsymb.delta_poly()
-        assert d.coefficient([("A", 1), ("R", 1)]) == (-1,)
-        assert d.coefficient([("R", 1), ("A", 1)]) == (-1,)
-        assert d.coefficient([("R", 2)]) == (-1,)
-        assert d.coefficient([("R", 1)]) == (0, 2)
+        assert d.coefficient("AR") == (-1,)
+        assert d.coefficient("RA") == (-1,)
+        assert d.coefficient("RR") == (-1,)
+        assert d.coefficient("R") == (0, 2)
 
     def test_difference_of_squares_identity(self):
         worst = 0.0
@@ -191,11 +221,15 @@ class TestExpandPower:
     def test_power_one(self):
         ad = ncsymb.expand_power(ncsymb.a_delta(), 1)
         # 2zAR - A^2R - ARA - AR^2
-        assert ad.coefficient([("A", 1), ("R", 1)]) == (0, 2)
-        assert ad.coefficient([("A", 2), ("R", 1)]) == (-1,)
-        assert ad.coefficient([("A", 1), ("R", 1), ("A", 1)]) == (-1,)
-        assert ad.coefficient([("A", 1), ("R", 2)]) == (-1,)
+        assert ad.coefficient("AR") == (0, 2)
+        assert ad.coefficient("AAR") == (-1,)
+        assert ad.coefficient("ARA") == (-1,)
+        assert ad.coefficient("ARR") == (-1,)
         assert ad.n_terms == 4
+
+    @pytest.mark.parametrize("j, count", [(1, 4), (2, 15), (3, 56), (4, 209), (5, 780), (6, 2911)])
+    def test_term_counts(self, j, count):
+        assert ncsymb.expand_power(ncsymb.a_delta(), j).n_terms == count
 
     @pytest.mark.parametrize("j", range(1, 7))
     def test_support_condition(self, j):
@@ -204,7 +238,14 @@ class TestExpandPower:
         for word in expansion.terms:
             assert len(ncsymb.core_multi_index(word)) < 2 * j
 
-    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "word, core",
+        [("", ()), ("AAA", ()), ("R", (1,)), ("AARARRA", (1, 1, 2)), ("RRAAAR", (2, 3, 1))],
+    )
+    def test_core_multi_index(self, word, core):
+        assert ncsymb.core_multi_index(word) == core
+
+    @pytest.mark.parametrize("j", range(1, 7))
     def test_expansion_evaluates_consistently(self, j):
         for a, r in seeded_pairs(5, 4, seed=j):
             direct = np.linalg.matrix_power(

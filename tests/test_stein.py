@@ -237,6 +237,16 @@ class TestDualSteinPairing:
             rhs = a * stein.dual_stein_pairing(mu, h1) + b * stein.dual_stein_pairing(mu, h2)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    @pytest.mark.parametrize("n_coeffs", [10, 14])
+    def test_degree_of_h_is_checked_before_any_moment(self, n_coeffs):
+        class NoMoments:
+            def moments(self, order):
+                raise AssertionError(f"moments({order}) computed for a refused h")
+
+        refusal = rf"the degree of h must be a whole number in \[0, 8\], got {n_coeffs - 1}"
+        with pytest.raises(ValueError, match=refusal):
+            stein.dual_stein_pairing(NoMoments(), [0] * n_coeffs)
+
     def test_parameter_guards(self):
         mu = MEASURE_BATTERY[0]
         with pytest.raises(ValueError):
