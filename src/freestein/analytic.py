@@ -2,9 +2,9 @@
 
 A :class:`MeasureSpec` names a compactly supported law (atoms, semicircle,
 or a grid density).  Every transform goes through one handle,
-:class:`MeasureEvaluator`, which computes G(z) = G_base(omega(z)): omega is
-the identity for a plain law, and the n-fold and pair subordination
-handles supply it from a kernel fixed point, under one residual gate.
+:class:`MeasureEvaluator`, which solves once per call for omega(z) and G(z):
+the subordination handles read G from F = omega1 + omega2 - z (Belinschi and
+Bercovici 2007), under one residual gate.
 Densities come back through Stieltjes inversion with an epsilon ladder.
 The moment extractor closes the loop with the cumulant engine of
 :mod:`freestein.momentalg`.
@@ -29,7 +29,7 @@ EPS_LADDER = (4e-3, 2e-3, 1e-3)
 # Lagrange weights for quadratic extrapolation of the ladder to eps = 0
 _LADDER_W = (1.0 / 3.0, -2.0, 8.0 / 3.0)
 # names the density method in result side-cars; change it when the method changes
-DENSITY_METHOD = "stieltjes-eps-ladder"
+DENSITY_METHOD = "stieltjes-eps-ladder-subordination-identity"
 MASS_WARN_BAND = (0.97, 1.03)
 RESIDUAL_ACCEPT = 1e-9
 MIN_GRID_POINTS = 64
@@ -258,10 +258,10 @@ def _as_upper_half(z):
 
 
 class MeasureEvaluator:
-    """Cauchy-transform handle G(z) = G_base(omega(z)).
+    """Cauchy-transform handle; ``_solve`` returns (omega(z), G(z)) in one go.
 
     For a plain law omega is the identity.  The subordination handles
-    below set ``base`` and ``support_radius`` and supply ``_omega`` from a
+    below set ``base`` and ``support_radius`` and supply ``_solve`` from a
     kernel solver; all of them share :meth:`cauchy`, the upper-half-plane
     check and the residual gate.
     """
@@ -273,15 +273,14 @@ class MeasureEvaluator:
 
     def omega(self, z):
         """omega(z) as a 1-d array, Im z > 0."""
-        return self._omega(_as_upper_half(z))
+        return self._solve(_as_upper_half(z))[0]
 
-    def _omega(self, z):
-        return z
+    def _solve(self, z):
+        return z, _kernels.cauchy_vals(z, *self.base.descriptor())
 
     def cauchy(self, z):
         """G(z) = integral of 1/(z - x) d(law)(x), Im z > 0 (so Im G < 0)."""
-        arr = _as_upper_half(z)
-        out = _kernels.cauchy_vals(self._omega(arr), *self.base.descriptor())
+        out = self._solve(_as_upper_half(z))[1]
         return out[0] if np.isscalar(z) or np.ndim(z) == 0 else out
 
     def _accept(self, what: str, iters, resid) -> None:
@@ -298,40 +297,40 @@ class MeasureEvaluator:
 
 
 class NFoldEvaluator(MeasureEvaluator):
-    """Handle for G of (D_scale mu)^{boxplus n}.
+    """Handle for G of (D_scale mu)^{boxplus n}, n >= 2 (see :func:`nfold_convolve`).
 
     For identical summands the n-fold subordination map collapses to the
     single fixed point w -> (z + (n-1) F(w)) / n, with F the reciprocal
-    Cauchy transform of the dilated base; G_{nu}(z) = G_base(omega(z)).
+    Cauchy transform of the dilated base; all n subordination functions are
+    omega, so G_{nu}(z) = (n-1) / (n omega(z) - z), 0/0 at n = 1.
     The solver starts from a closed form: the fixed point itself for a
     semicircle or a base of at most two atoms, which then report 0
     iterations, and otherwise the fixed point for the two-atom law with the
-    base's first three moments, a few Newton steps from the root.  The
-    residual at the returned point is checked against ``RESIDUAL_ACCEPT``
-    either way.
+    base's first three moments, a few Newton steps from the root; the
+    residual gate applies either way.
     """
 
     def __init__(self, base: MeasureSpec, n: int, scale: float = 1.0):
-        self.n = check_count(n, "n, a positive integer,", 1, MAX_N)
-        super().__init__(base.dilate(scale) if scale != 1.0 else base)
+        self.n = check_count(n, "the n of an n-fold handle", 2, MAX_N)
+        super().__init__(base.dilate(scale))
         self.support_radius = self.n * self.base.support_radius
 
-    def _omega(self, z):
+    def _solve(self, z):
         om, iters, resid = _kernels.nfold_omega(z, *self.base.descriptor(), float(self.n))
         self._accept("n-fold subordination", iters, resid)
-        return om
+        return om, (self.n - 1.0) / (self.n * om - z)
 
 
 class PairConvolveEvaluator(MeasureEvaluator):
     """Handle for G of a boxplus b via two-measure subordination.
 
     omega1 is the attracting fixed point of w -> z + h_b(z + h_a(w)) with
-    h = 1/G - id; then G_{a boxplus b} = G_a(omega1).  The solver starts
-    from a closed form: the fixed point for the two semicircles with the
-    operands' means and variances, which is the fixed point itself when a
-    and b are semicircles (0 iterations), as in the OU flow of a
-    semicircle, and otherwise a few Newton steps from it.  The residual at
-    the returned point is checked against ``RESIDUAL_ACCEPT`` either way.
+    h = 1/G - id and omega2 = z + h_a(omega1); G = 1/(omega1 + omega2 - z).
+    The solver starts from a closed form: the fixed point for the two
+    semicircles with the operands' means and variances, which is the fixed
+    point itself when a and b are semicircles (0 iterations), as in the OU
+    flow of a semicircle, and otherwise a few Newton steps from it; the
+    residual gate applies either way.
     """
 
     def __init__(self, a: MeasureSpec, b: MeasureSpec):
@@ -339,16 +338,18 @@ class PairConvolveEvaluator(MeasureEvaluator):
         self.b = b
         self.support_radius = a.support_radius + b.support_radius
 
-    def _omega(self, z):
-        om1, _, iters, resid = _kernels.pair_omega(
+    def _solve(self, z):
+        om1, om2, iters, resid = _kernels.pair_omega(
             z, *self.base.descriptor(), *self.b.descriptor()
         )
         self._accept("subordination", iters, resid)
-        return om1
+        return om1, 1.0 / (om1 + om2 - z)
 
 
-def nfold_convolve(mu: MeasureSpec, n: int, scale: float = 1.0) -> NFoldEvaluator:
-    """Cauchy-transform handle for (D_scale mu)^{boxplus n}."""
+def nfold_convolve(mu: MeasureSpec, n: int, scale: float = 1.0) -> MeasureEvaluator:
+    """Handle for (D_scale mu)^{boxplus n}; at n = 1 the plain one of D_scale mu."""
+    if check_count(n, "n, a positive integer,", 1, MAX_N) == 1:
+        return MeasureEvaluator(mu.dilate(scale))
     return NFoldEvaluator(mu, n, scale)
 
 

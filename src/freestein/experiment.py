@@ -39,7 +39,7 @@ CSV_HEADER = "n,d_kol,d_tv,d_w1,mass_deficit,subord_iters,runtime_ms"
 ALL_METRICS = ("kol", "tv", "w1")
 DEFAULT_N_VALUES = (4, 8, 16, 32, 64, 128, 256, 512)
 DEFAULT_GRID_POINTS = 2001
-# auto window half-width: sqrt(n) * R_base capped by superconvergence scale
+# auto window half-width: the handle's support radius, capped by superconvergence scale
 _WINDOW_CAP = 5.5
 _WINDOW_PAD = 0.5
 FLOOR_MULTIPLE = 10.0
@@ -159,11 +159,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def auto_window(base: MeasureSpec, n: int) -> tuple:
-    half = min(math.sqrt(n) * base.support_radius, _WINDOW_CAP) + _WINDOW_PAD
-    return (-half, half)
-
-
 @dataclass
 class ExperimentRow:
     n: int
@@ -211,14 +206,14 @@ def read_rows(path) -> list:
     return rows
 
 
-def _distances(base: MeasureSpec, n: int, window, grid_points: int, metrics=ALL_METRICS):
-    """Distances from the n-fold law of D_{1/sqrt(n)} base to the semicircle
-    on one window grid, and the solver's peak iterations."""
-    ev = nfold_convolve(base, n, 1.0 / math.sqrt(n))
-    lo, hi = window if window else auto_window(base, n)
-    density = stieltjes_density(ev, lo, hi, grid_points)
+def _distances(handle, window, grid_points: int, metrics=ALL_METRICS):
+    """Distances from the law of ``handle`` to the semicircle on one window
+    grid (by default centred, sized by its support radius), and its peak iterations."""
+    half = min(handle.support_radius, _WINDOW_CAP) + _WINDOW_PAD
+    lo, hi = window or (-half, half)
+    density = stieltjes_density(handle, lo, hi, grid_points)
     reference = semicircle_density(lo, hi, grid_points)
-    return met.distance_report(density, reference, metrics), ev.peak_iterations
+    return met.distance_report(density, reference, metrics), handle.peak_iterations
 
 
 def compute_row(cfg: ExperimentConfig, n: int) -> ExperimentRow:
@@ -230,9 +225,8 @@ def compute_row(cfg: ExperimentConfig, n: int) -> ExperimentRow:
         # TV distance, so the density's warning is not repeated per row.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", MassRecoveryWarning)
-            report, iters = _distances(
-                cfg.base_measure, n, cfg.window, cfg.grid_points, cfg.metrics
-            )
+            handle = nfold_convolve(cfg.base_measure, n, 1.0 / math.sqrt(n))
+            report, iters = _distances(handle, cfg.window, cfg.grid_points, cfg.metrics)
     except ConvergenceError:
         pass
     return ExperimentRow(n, report, iters, (time.perf_counter() - t0) * 1e3)
@@ -323,15 +317,19 @@ class RateFit:
 def fit_rate(points, metric: str = "", floor: float = 0.0) -> RateFit:
     """OLS fit of log d = slope * log n + intercept.
 
-    Points with non-finite or non-positive distances, or within
-    ``FLOOR_MULTIPLE`` of the discretization floor, are discarded; fewer
-    than 4 survivors raises :class:`FitRefusalError`.
+    Each n is read by the rule of :func:`read_rows`: a whole number from 1
+    to MAX_N, once, else ValueError.  Points with non-finite or non-positive
+    distances, or within ``FLOOR_MULTIPLE`` of the discretization floor, are
+    discarded; fewer than 4 survivors raises :class:`FitRefusalError`.
     """
-    usable = [
-        (int(n), float(d))
-        for n, d in points
-        if d is not None and math.isfinite(d) and d > 0 and d > FLOOR_MULTIPLE * floor
-    ]
+    usable, seen = [], set()
+    for n, d in points:
+        n = check_count(n, "n", 1, MAX_N)
+        if n in seen:
+            raise ValueError(f"the fit points hold n = {n} twice")
+        seen.add(n)
+        if d is not None and math.isfinite(d) and d > 0 and d > FLOOR_MULTIPLE * floor:
+            usable.append((n, float(d)))
     if len(usable) < 4:
         raise FitRefusalError(
             f"only {len(usable)} usable points (need 4); "
@@ -366,4 +364,5 @@ def discretization_floor(
     same convolve-and-invert pipeline as a real experiment and measures the
     distances to the closed-form density on the same grid.
     """
-    return _distances(MeasureSpec.semicircle(0.0, 1.0), 16, window, grid_points)[0]
+    handle = nfold_convolve(MeasureSpec.semicircle(0.0, 1.0), 16, 0.25)
+    return _distances(handle, window, grid_points)[0]

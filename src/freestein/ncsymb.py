@@ -156,10 +156,8 @@ class NcPolynomial:
         return poly
 
     def __pow__(self, j: int) -> "NcPolynomial":
-        if j < 0:
-            raise ValueError("negative word powers are not defined")
         acc = NcPolynomial.unit()
-        for _ in range(j):
+        for _ in range(check_count(j, "the power j", 0, MAX_WORD)):
             acc = acc * self
         return acc
 

@@ -225,11 +225,58 @@ class TestResidualGate:
             make().cauchy(np.array([1j, 2j]))
 
 
+class TestOneSolve:
+    """A subordination handle reads omega and G from one kernel call."""
+
+    @pytest.mark.parametrize(
+        "make, kernel",
+        [
+            (lambda: an.nfold_convolve(ASYM, 8, 0.5), "nfold_omega"),
+            (lambda: an.PairConvolveEvaluator(ASYM, BERN), "pair_omega"),
+        ],
+        ids=["nfold", "pair"],
+    )
+    def test_cauchy_is_one_kernel_call(self, monkeypatch, make, kernel):
+        calls = []
+
+        def counted(name):
+            inner = getattr(_kernels, name)
+            return lambda *a: calls.append(name) or inner(*a)
+
+        for name in ("nfold_omega", "pair_omega", "cauchy_vals"):
+            monkeypatch.setattr(_kernels, name, counted(name))
+        ev = make()
+        ev.cauchy(np.linspace(-2, 2, 9) + 0.1j)
+        assert calls == [kernel]
+        ev.omega(0.5j)
+        assert calls == [kernel, kernel]
+
+    def test_identity_matches_the_base_at_omega(self):
+        # G = (n-1)/(n omega - z) and 1/(omega1 + omega2 - z) are G_base(omega1)
+        zs = np.linspace(-3, 3, 61) + 1e-2j
+        for ev, base in [
+            (an.nfold_convolve(ASYM, 8, 0.5), ASYM.dilate(0.5)),
+            (an.PairConvolveEvaluator(ASYM, BERN), ASYM),
+        ]:
+            want = an.MeasureEvaluator(base).cauchy(ev.omega(zs))
+            assert np.abs(ev.cauchy(zs) - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestNFold:
     def test_n1_is_identity(self):
         ev = an.nfold_convolve(ASYM, 1, 1.0)
         zs = np.array([1j, 0.2 + 0.4j])
         assert np.abs(ev.cauchy(zs) - an.MeasureEvaluator(ASYM).cauchy(zs)).max() < 1e-13
+
+    @pytest.mark.parametrize("mu", [ASYM, SEMI], ids=["atoms", "semicircle"])
+    def test_n1_is_the_plain_handle_of_the_dilated_law(self, mu):
+        ev = an.nfold_convolve(mu, 1, 0.5)
+        assert type(ev) is an.MeasureEvaluator
+        assert ev.base == mu.dilate(0.5)
+        assert ev.support_radius == mu.dilate(0.5).support_radius
+        assert ev.cauchy(0.3 + 1e-3j) == an.MeasureEvaluator(mu.dilate(0.5)).cauchy(0.3 + 1e-3j)
+        with pytest.raises(ValueError, match="n-fold handle"):  # its identity is 0/0 there
+            an.NFoldEvaluator(mu, 1, 0.5)
 
     def test_semicircle_stable_under_standardized_pair(self):
         ev = an.nfold_convolve(SEMI, 2, 1 / math.sqrt(2))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from freestein import cli
-from freestein.analytic import GridDensity
+from freestein.analytic import GridDensity, MeasureEvaluator, MeasureSpec, stieltjes_density
 
 BERN_JSON = '{"type":"atomic","atoms":[[1.0,0.5],[-1.0,0.5]]}'
 ASYM_JSON = '{"type":"atomic","atoms":[[2.0,0.2],[-0.5,0.8]]}'
@@ -176,6 +176,17 @@ class TestConvolve:
             ["convolve", "--measure", BERN_JSON, "-n", "2", "--scale", "1.0",
              "--out", str(out), "--points", "257"]
         ) == 0
+
+    def test_n1_writes_the_plain_law(self, tmp_path):
+        # n = 1 is the plain handle of the dilated law, with its window and bytes
+        out, ref = tmp_path / "d.csv", tmp_path / "ref.csv"
+        semi = '{"type":"semicircle","mean":0.25,"variance":0.5}'
+        argv = ["convolve", "--measure", semi, "-n", "1", "--scale", "0.5"]
+        assert run([*argv, "--out", str(out), "--points", "257"]) == 0
+        mu = MeasureSpec.semicircle(0.25, 0.5).dilate(0.5)
+        half = mu.support_radius + 0.5
+        stieltjes_density(MeasureEvaluator(mu), -half, half, 257).to_csv(ref)
+        assert out.read_bytes() == ref.read_bytes()
 
 
     @pytest.mark.parametrize(

@@ -3,13 +3,15 @@
 import json
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from freestein import _kernels
 from freestein import experiment as ex
-from freestein.analytic import GridDensity, MeasureSpec
+from freestein.analytic import (GridDensity, MeasureEvaluator, MeasureSpec, PairConvolveEvaluator,
+                                nfold_convolve)
 from freestein.errors import ConfigError, ConvergenceError, FitRefusalError, MassRecoveryWarning
 
 BERN = MeasureSpec.atomic([(-1.0, 0.5), (1.0, 0.5)])
@@ -400,11 +402,52 @@ class TestFitRate:
         with pytest.raises(FitRefusalError):
             ex.fit_rate(pts, "kol", floor=floor)
 
+    @pytest.mark.parametrize(
+        "n", [0, 8.5, True, "8", math.nan, ex.MAX_N + 1],
+        ids=["zero", "fraction", "bool", "text", "nan", "above-max-n"],
+    )
+    def test_n_is_a_count(self, n):
+        pts = [(n, 0.5)] + [(m, m**-0.5) for m in (16, 32, 64, 128)]
+        with pytest.raises(ValueError, match="n must be a whole number"):
+            ex.fit_rate(pts, "kol")
+
+    def test_repeated_n_refused_by_name(self):
+        with pytest.raises(ValueError, match="n = 8 twice"):
+            ex.fit_rate([(8, 0.4), (16, 0.3), (8.0, 0.2), (32, 0.1)], "kol")
+        with pytest.raises(ValueError, match="n = 8 twice"):
+            ex.fit_rate([(8, d) for d in (0.4, 0.3, 0.2, 0.1)], "kol")
+
+    def test_whole_float_n_reads_as_int(self):
+        fit = ex.fit_rate([(float(n), n**-0.5) for n in (8, 16, 32, 64)], "kol")
+        assert [n for n, _ in fit.points] == [8, 16, 32, 64]
+        assert all(type(n) is int for n, _ in fit.points)
+
     def test_json_payload(self):
         fit = ex.fit_rate([(n, n**-0.5) for n in (8, 16, 32, 64)], "kol")
         data = json.loads(fit.to_json())
         assert data["metric"] == "kol"
         assert len(data["points"]) == 4
+
+
+class TestRowHandle:
+    """A row is measured on a handle, whatever law the handle carries."""
+
+    def test_pair_row_equals_the_nfold_row(self):
+        half = BERN.dilate(1 / math.sqrt(2))
+        rows = [
+            ex._distances(handle, (-2.5, 2.5), 2001)[0]
+            for handle in (PairConvolveEvaluator(half, half), nfold_convolve(BERN, 2, 1 / math.sqrt(2)))
+        ]
+        assert rows[0].d_tv is rows[1].d_tv is None  # the arcsine's edge mass: TV refused
+        for got, want in zip(astuple(rows[0]), astuple(rows[1])):
+            assert got is want is None or abs(got - want) <= 1e-10
+
+    def test_auto_window_reads_the_handle(self):
+        # half-width min(support radius, 5.5) + 0.5: 2.5 for the standard semicircle
+        handle = MeasureEvaluator(MeasureSpec.semicircle(0.0, 1.0))
+        assert ex._distances(handle, None, 1001) == ex._distances(handle, (-2.5, 2.5), 1001)
+        wide = nfold_convolve(BERN, 64, 0.125)  # radius 8, capped
+        assert ex._distances(wide, None, 257) == ex._distances(wide, (-6.0, 6.0), 257)
 
 
 class TestFloor:

@@ -1,0 +1,59 @@
+"""The Kesten-McKay closed form against the exact stack and the n-fold handle."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import kesten_mckay as km
+from freestein import analytic as an
+from freestein import momentalg as ma
+
+BERN = an.MeasureSpec.atomic([(-1.0, 0.5), (1.0, 0.5)])
+
+
+def exact_moments(n: int, order: int) -> tuple:
+    """Moments of (D_{1/sqrt(n)} B)^{boxplus n} as Fractions: kappa_j n^{1 - j/2},
+    with the odd free cumulants of B zero."""
+    kappa = ma.moments_to_cumulants(
+        ma.MomentSequence([1 - j % 2 for j in range(order + 1)], validate=False)
+    )
+    scaled = [0 if j % 2 else kappa[j] * Fraction(1, n ** (j // 2 - 1)) for j in range(1, order + 1)]
+    return ma.cumulants_to_moments(ma.FreeCumulantSequence(scaled)).values
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16, 64, 512, 4096])
+def test_moments_match_the_exact_stack(n):
+    got, want = km.moments(n, 12), exact_moments(n, 12)
+    for j, (g, w) in enumerate(zip(got, want)):
+        if j % 2:
+            assert w == 0 and abs(g) <= 1e-13
+        else:
+            assert g == pytest.approx(float(w), rel=1e-12)
+
+
+def test_two_summands_give_the_arcsine_law():
+    y = np.linspace(-1.414, 1.414, 1001)
+    arcsine = 1.0 / (math.pi * np.sqrt(2.0 - y * y))
+    assert np.abs(km.density(y, 2) / arcsine - 1.0).max() < 1e-12
+    assert km.edge(2) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert (km.density(np.array([-1.5, 1.5]), 2) == 0.0).all()
+
+
+@pytest.mark.parametrize("n", [3, 64, 4096])
+def test_density_is_the_tree_spectral_measure(n):
+    # p_n(y) = sqrt(n) f_n(sqrt(n) y), f_n(x) = n sqrt(4(n-1) - x^2) / (2 pi (n^2 - x^2))
+    x = math.sqrt(n) * np.linspace(-km.edge(n), km.edge(n), 501)
+    f = n * np.sqrt(np.clip(4.0 * (n - 1) - x * x, 0.0, None)) / (2.0 * math.pi * (n * n - x * x))
+    assert np.abs(km.density(x / math.sqrt(n), n) - math.sqrt(n) * f).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 512, 4096])
+def test_nfold_handle_matches_the_closed_form(n):
+    # an experiment row's automatic window, at the ladder's smallest epsilon
+    half = min(math.sqrt(n), 5.5) + 0.5
+    z = np.linspace(-half, half, 2001) + 1e-3j
+    want = km.cauchy(z, n)
+    got = an.nfold_convolve(BERN, n, 1.0 / math.sqrt(n)).cauchy(z)
+    assert (np.abs(got - want) / np.abs(want)).max() <= 1e-10

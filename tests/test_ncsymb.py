@@ -1,6 +1,7 @@
 """Word algebra, expansion bookkeeping, and the matrix oracle."""
 
 import hashlib
+import math
 import random
 import warnings
 
@@ -135,6 +136,18 @@ class TestPolynomialAlgebra:
     def test_power_guard(self):
         with pytest.raises(ValueError):
             A**-1
+
+    @pytest.mark.parametrize(
+        "j", [True, 2.5, "2", math.nan, ncsymb.MAX_WORD + 1],
+        ids=["bool", "fraction", "text", "nan", "above-max-word"],
+    )
+    def test_power_is_a_count(self, j):
+        with pytest.raises(ValueError, match="the power j"):
+            A**j
+
+    def test_whole_float_power(self):
+        assert A**2.0 == A**2
+        assert A**0 == ncsymb.NcPolynomial.unit()
 
     @pytest.mark.parametrize("j", range(7))
     def test_power_terms_and_order_match_the_oracle(self, j):
