@@ -15,12 +15,14 @@ Both solvers run one Newton loop on w = Phi(w), :func:`_solve`, with one
 stop test, the tolerance ``TOL``, the step cap ``MAX_ITER`` and one
 restart of unsettled points at pass ``RESTART_AT``.  The
 n-fold solver starts from one closed form, :func:`_nfold_seed`: the root
-itself for a semicircle or at most two atoms, which settles at the first
-check and reports 0 iterations, and otherwise the root for the two-atom
-law with the same first three moments.  The pair solver starts from
-:func:`_pair_seed`, the root for the two semicircles with the operands'
-means and variances: the root itself when both operands are semicircles.
-Either start falls back to z where it is not finite or not above the axis.
+itself for a semicircle or at most two atoms, and otherwise the root for
+the two-atom law with the same first three moments.  The pair solver
+starts from :func:`_pair_seed`, the root for the two semicircles with the
+operands' means and variances: the root itself when both operands are
+semicircles.  Either start falls back to z where it is not finite or not
+above the axis.  Where the start is the root itself, :func:`_solve`
+checks it with one evaluation of Phi and returns it, with 0 iterations,
+instead of stepping from it; Newton runs only if a point fails the check.
 """
 
 from __future__ import annotations
@@ -131,12 +133,16 @@ def _start(w0, z):
     return np.where(np.isfinite(w0) & (w0.imag > 0.0), w0, z)
 
 
-def _solve(z, w0, phi):
+def _solve(z, w0, phi, exact):
     """Newton's method on w = Phi(w) per point from w0; returns (w, iters, resid).
 
     ``phi(z, w, deriv)`` returns Phi(w) and Phi'(w) for the given points,
-    or Phi(w) and a throw-away constant when ``deriv`` is false.  Each
-    pass evaluates them once per active point and steps to
+    or Phi(w) and a throw-away constant when ``deriv`` is false.  When
+    ``exact`` says that w0 is the root in closed form, Phi alone is
+    evaluated there once: if every point passes the settle test below, w0
+    is returned with 0 iterations and that residual, with no step taken.
+    Otherwise, and always when ``exact`` is false, Newton runs from w0.
+    Each pass evaluates Phi and Phi' once per active point and steps to
     w - (Phi(w) - w) / (Phi'(w) - 1), or to Phi(w) when that is not finite
     or not in the upper half plane.  A point settles when
     |Phi(w) - w| < ``TOL`` (1 + |w|); it still takes its step, uncounted.
@@ -148,6 +154,10 @@ def _solve(z, w0, phi):
     """
     w = np.array(w0, dtype=np.complex128)
     iters = np.zeros(len(z), dtype=np.int64)
+    if exact:
+        resid = np.abs(phi(z, w, deriv=False)[0] - w)
+        if (resid < TOL * (1.0 + np.abs(w))).all():
+            return w, iters, resid
     active = np.ones(len(z), dtype=bool)
     for it in range(MAX_ITER):
         if not active.any():
@@ -172,7 +182,8 @@ def nfold_omega(z, kind, c0, c1, xs, ys, nfold):
         f, df = _f_df_vec(kind, c0, c1, xs, ys, w, deriv)
         return (zs + (nfold - 1.0) * f) / nfold, (nfold - 1.0) / nfold * df
 
-    return _solve(z, _start(_nfold_seed(z, kind, c0, c1, xs, ys, nfold), z), phi)
+    w0 = _start(_nfold_seed(z, kind, c0, c1, xs, ys, nfold), z)
+    return _solve(z, w0, phi, kind == 1 or len(xs) <= 2)
 
 
 def pair_omega(z, ka, a0, a1, axs, ays, kb, b0, b1, bxs, bys):
@@ -190,6 +201,6 @@ def pair_omega(z, ka, a0, a1, axs, ays, kb, b0, b1, bxs, bys):
         return zs + fb - inner, (dfb - 1.0) * (dfa - 1.0)
 
     w0 = _pair_seed(z, (ka, a0, a1, axs, ays), (kb, b0, b1, bxs, bys))
-    w, iters, resid = _solve(z, _start(w0, z), phi)
+    w, iters, resid = _solve(z, _start(w0, z), phi, ka == 1 and kb == 1)
     inner = z + _f_df_vec(ka, a0, a1, axs, ays, w, deriv=False)[0] - w
     return w, inner, iters, resid

@@ -29,12 +29,14 @@ EPS_LADDER = (4e-3, 2e-3, 1e-3)
 # Lagrange weights for quadratic extrapolation of the ladder to eps = 0
 _LADDER_W = (1.0 / 3.0, -2.0, 8.0 / 3.0)
 # names the density method in result side-cars; change it when the method changes
-DENSITY_METHOD = "stieltjes-eps-ladder-subordination-identity"
+DENSITY_METHOD = "stieltjes-eps-ladder-checked-closed-root"
 MASS_WARN_BAND = (0.97, 1.03)
 RESIDUAL_ACCEPT = 1e-9
 MIN_GRID_POINTS = 64
 MAX_GRID_POINTS = 20_001
-# n-fold rows agree with a cancellation-free solve to 1e-7 relative up to here
+# n-fold rows agree with a cancellation-free solve to 1e-7 relative up to here;
+# semicircle and two-atom rows return their closed-form root as checked, so
+# they lose no digits with n
 MAX_N = 10**6
 
 
@@ -304,10 +306,11 @@ class NFoldEvaluator(MeasureEvaluator):
     Cauchy transform of the dilated base; all n subordination functions are
     omega, so G_{nu}(z) = (n-1) / (n omega(z) - z), 0/0 at n = 1.
     The solver starts from a closed form: the fixed point itself for a
-    semicircle or a base of at most two atoms, which then report 0
-    iterations, and otherwise the fixed point for the two-atom law with the
-    base's first three moments, a few Newton steps from the root; the
-    residual gate applies either way.
+    semicircle or a base of at most two atoms, which is checked with one
+    evaluation of the map and returned with 0 iterations, and otherwise the
+    fixed point for the two-atom law with the base's first three moments, a
+    few Newton steps from the root; the residual gate applies either way, to
+    the point returned.
     """
 
     def __init__(self, base: MeasureSpec, n: int, scale: float = 1.0):
@@ -327,10 +330,11 @@ class PairConvolveEvaluator(MeasureEvaluator):
     omega1 is the attracting fixed point of w -> z + h_b(z + h_a(w)) with
     h = 1/G - id and omega2 = z + h_a(omega1); G = 1/(omega1 + omega2 - z).
     The solver starts from a closed form: the fixed point for the two
-    semicircles with the operands' means and variances, which is the fixed
-    point itself when a and b are semicircles (0 iterations), as in the OU
-    flow of a semicircle, and otherwise a few Newton steps from it; the
-    residual gate applies either way.
+    semicircles with the operands' means and variances.  When a and b are
+    semicircles, as in the OU flow of a semicircle, that is the fixed point
+    itself, checked with one evaluation of the map and returned with 0
+    iterations; otherwise Newton takes a few steps from it.  The residual
+    gate applies either way, to the point returned.
     """
 
     def __init__(self, a: MeasureSpec, b: MeasureSpec):

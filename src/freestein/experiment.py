@@ -39,7 +39,8 @@ CSV_HEADER = "n,d_kol,d_tv,d_w1,mass_deficit,subord_iters,runtime_ms"
 ALL_METRICS = ("kol", "tv", "w1")
 DEFAULT_N_VALUES = (4, 8, 16, 32, 64, 128, 256, 512)
 DEFAULT_GRID_POINTS = 2001
-# auto window half-width: the handle's support radius, capped by superconvergence scale
+# auto window half-width: the handle's support radius, capped by superconvergence scale,
+# and at least the reference semicircle's radius 2
 _WINDOW_CAP = 5.5
 _WINDOW_PAD = 0.5
 FLOOR_MULTIPLE = 10.0
@@ -208,8 +209,16 @@ def read_rows(path) -> list:
 
 def _distances(handle, window, grid_points: int, metrics=ALL_METRICS):
     """Distances from the law of ``handle`` to the semicircle on one window
-    grid (by default centred, sized by its support radius), and its peak iterations."""
-    half = min(handle.support_radius, _WINDOW_CAP) + _WINDOW_PAD
+    grid, and its peak iterations.
+
+    The automatic window is centred, with half-width
+    max(min(R, ``_WINDOW_CAP``), 2) + ``_WINDOW_PAD`` for the handle's support
+    radius R, so it always holds the reference semicircle on [-2, 2].  On
+    the arcsine law (Bernoulli, n = 2) TV is still refused: the epsilon
+    ladder of :func:`stieltjes_density` loses mass at its
+    inverse-square-root edges.
+    """
+    half = max(min(handle.support_radius, _WINDOW_CAP), 2.0) + _WINDOW_PAD
     lo, hi = window or (-half, half)
     density = stieltjes_density(handle, lo, hi, grid_points)
     reference = semicircle_density(lo, hi, grid_points)

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,11 +444,38 @@ class TestRowHandle:
             assert got is want is None or abs(got - want) <= 1e-10
 
     def test_auto_window_reads_the_handle(self):
-        # half-width min(support radius, 5.5) + 0.5: 2.5 for the standard semicircle
+        # half-width max(min(support radius, 5.5), 2) + 0.5: 2.5 for the standard semicircle
         handle = MeasureEvaluator(MeasureSpec.semicircle(0.0, 1.0))
         assert ex._distances(handle, None, 1001) == ex._distances(handle, (-2.5, 2.5), 1001)
         wide = nfold_convolve(BERN, 64, 0.125)  # radius 8, capped
         assert ex._distances(wide, None, 257) == ex._distances(wide, (-6.0, 6.0), 257)
+
+    def test_auto_window_holds_the_reference(self):
+        # the arcsine law has radius sqrt(2) < 2: the window still holds [-2, 2]
+        narrow = nfold_convolve(BERN, 2, 1 / math.sqrt(2))
+        report = ex._distances(narrow, None, 2001)[0]
+        assert report == ex._distances(narrow, (-2.5, 2.5), 2001)[0]
+        assert report.mass_deficit < 5e-3
+        assert report.d_tv is None  # the ladder's mass loss at the arcsine's edges
+
+
+class TestBenchmarkReference:
+    """The benchmark's seed-0 rate rows, recomputed here, against the distance
+    cells it checks them with, and to the same 1e-10."""
+
+    LAWS = {"bernoulli": BERN, "skewed": MeasureSpec.atomic([(2.0, 0.2), (-0.5, 0.8)])}
+
+    @pytest.mark.parametrize("name", list(LAWS))
+    def test_rows_match_the_seed0_reference(self, name, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference_seed0.json"
+        want = json.loads(path.read_text())["rate_atomic"][name]
+        cfg = tiny_config(tmp_path, base_measure=self.LAWS[name], grid_points=2001)
+        assert sorted(map(int, want)) == [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
+        for n, cells in want.items():
+            report = ex.compute_row(cfg, int(n)).report
+            got = (report.d_kol, report.d_tv, report.d_w1)
+            for g, w in zip(got, cells):
+                assert g is w is None or abs(g - w) <= 1e-10, (n, got, cells)
 
 
 class TestFloor:

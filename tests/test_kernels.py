@@ -259,7 +259,7 @@ def test_nfold_matches_loop_oracle(law, n, z):
     g_ref = _kernels.cauchy_vals(om_ref, *desc)
     assert np.abs(g - g_ref).max() <= 1e-8
     if law not in INEXACT_SEED:
-        assert iters.max() == 0  # the exact seed settles at the first check
+        assert iters.max() == 0  # the exact seed is checked and returned
     if n == 1:
         assert np.all(np.abs(om - z) <= 1e-12 * (1.0 + np.abs(z)))
 
@@ -296,11 +296,85 @@ def test_pair_matches_loop_oracle():
 @pytest.mark.parametrize("z", [GRID_Z, HIGH_Z], ids=["near-axis", "high"])
 def test_pair_seed_is_the_root_for_two_semicircles(z):
     # a semicircle pair's sum is the semicircle of the summed mean and
-    # variance, so the seed settles at the first check
+    # variance, so the seed is checked and returned
     da, db = SEMI.dilate(0.7), MeasureSpec.semicircle(-0.3, 0.49)
     _, _, iters, res = _kernels.pair_omega(z, *da.descriptor(), *db.descriptor())
     assert iters.max() == 0
     assert res.max() <= 1e-12
+
+
+def _counting(monkeypatch):
+    """Record the ``deriv`` flag of every ``_f_df_vec`` call the kernels make."""
+    calls = []
+    f_df = _kernels._f_df_vec
+
+    def counted(kind, c0, c1, xs, ys, w, deriv=True):
+        calls.append(deriv)
+        return f_df(kind, c0, c1, xs, ys, w, deriv)
+
+    monkeypatch.setattr(_kernels, "_f_df_vec", counted)
+    return calls
+
+
+@pytest.mark.parametrize("law", ["bernoulli", "skewed", "semicircle"])
+def test_an_exact_nfold_start_is_checked_not_stepped(law, monkeypatch):
+    # one F for the seed and one for the check of the returned point, no F'
+    calls = _counting(monkeypatch)
+    _, iters, res = _kernels.nfold_omega(GRID_Z, *NFOLD_LAWS[law].dilate(0.125).descriptor(), 64.0)
+    assert calls == [False, False]
+    assert iters.max() == 0 and res.max() <= 1e-12
+
+
+def test_an_exact_pair_start_is_checked_not_stepped(monkeypatch):
+    # one F for the seed, one F of each operand for the check, one for omega2
+    calls = _counting(monkeypatch)
+    da, db = SEMI.dilate(0.7), MeasureSpec.semicircle(-0.3, 0.49)
+    _, _, iters, res = _kernels.pair_omega(GRID_Z, *da.descriptor(), *db.descriptor())
+    assert calls == [False] * 4
+    assert iters.max() == 0 and res.max() <= 1e-12
+
+
+def test_an_exact_start_that_fails_the_check_runs_newton(monkeypatch):
+    # one point of the two-atom start moved by 1e-6: Newton runs from the
+    # same start and lands on the root the check would have returned
+    z = GRID_Z
+    desc = NFOLD_LAWS["skewed"].dilate(0.125).descriptor()
+    om, iters, _ = _kernels.nfold_omega(z, *desc, 64.0)
+    seed = _kernels._nfold_seed
+
+    def moved(*args):
+        w0 = seed(*args)
+        w0[100] += 1e-6
+        return w0
+
+    monkeypatch.setattr(_kernels, "_nfold_seed", moved)
+    om_moved, iters_moved, res = _kernels.nfold_omega(z, *desc, 64.0)
+    assert iters.max() == 0 and iters_moved[100] >= 1
+    assert res.max() <= 1e-12
+    g, g_moved = 63.0 / (64.0 * om - z), 63.0 / (64.0 * om_moved - z)
+    assert np.abs(g_moved / g - 1.0).max() <= 1e-12
+
+
+def _exact_start_laws(rng):
+    """Laws whose n-fold start is the root: one atom, two centred atoms
+    (weights from 0.01, so nu_n may have an atom), and a semicircle."""
+    for _ in range(25):
+        p, s = rng.uniform(0.01, 0.99), rng.uniform(0.5, 2.0)
+        yield MeasureSpec.atomic([(rng.uniform(-1.0, 1.0), 1.0)])
+        yield MeasureSpec.atomic([(s * math.sqrt((1 - p) / p), p), (-s * math.sqrt(p / (1 - p)), 1 - p)])
+        yield MeasureSpec.semicircle(rng.uniform(-1.0, 1.0), rng.uniform(0.25, 4.0))
+
+
+def test_every_exact_start_passes_its_check():
+    # 75 seeded laws x 4 n x 3 heights: each solve returns its start with
+    # 0 iterations, from n = 2 up to MAX_N and from Im z = 1e-9
+    for mu in _exact_start_laws(np.random.default_rng(28)):
+        for n in (2, 16, 4096, 10**6):
+            desc = mu.dilate(1.0 / math.sqrt(n)).descriptor()
+            for y in (1e-9, 1e-3, 1.0):
+                z = np.linspace(-6.0, 6.0, 129) + 1j * y
+                _, iters, res = _kernels.nfold_omega(z, *desc, float(n))
+                assert iters.max() == 0 and res.max() <= 1e-12, (mu, n, y)
 
 
 def _pair_operand(kind, a, gap, pa, scale):
