@@ -22,7 +22,8 @@ operands' means and variances: the root itself when both operands are
 semicircles.  Either start falls back to z where it is not finite or not
 above the axis.  Where the start is the root itself, :func:`_solve`
 checks it with one evaluation of Phi and returns it, with 0 iterations,
-instead of stepping from it; Newton runs only if a point fails the check.
+instead of stepping from it; Newton runs only on the points that fail the
+check.
 """
 
 from __future__ import annotations
@@ -139,9 +140,9 @@ def _solve(z, w0, phi, exact):
     ``phi(z, w, deriv)`` returns Phi(w) and Phi'(w) for the given points,
     or Phi(w) and a throw-away constant when ``deriv`` is false.  When
     ``exact`` says that w0 is the root in closed form, Phi alone is
-    evaluated there once: if every point passes the settle test below, w0
-    is returned with 0 iterations and that residual, with no step taken.
-    Otherwise, and always when ``exact`` is false, Newton runs from w0.
+    evaluated there once, and each point that passes the settle test below
+    keeps w0 with 0 iterations and no step taken; Newton runs from w0 on the
+    points that fail, and on every point when ``exact`` is false.
     Each pass evaluates Phi and Phi' once per active point and steps to
     w - (Phi(w) - w) / (Phi'(w) - 1), or to Phi(w) when that is not finite
     or not in the upper half plane.  A point settles when
@@ -154,11 +155,12 @@ def _solve(z, w0, phi, exact):
     """
     w = np.array(w0, dtype=np.complex128)
     iters = np.zeros(len(z), dtype=np.int64)
+    active = np.ones(len(z), dtype=bool)
     if exact:
         resid = np.abs(phi(z, w, deriv=False)[0] - w)
-        if (resid < TOL * (1.0 + np.abs(w))).all():
+        active = ~(resid < TOL * (1.0 + np.abs(w)))  # a NaN residual fails too
+        if not active.any():
             return w, iters, resid
-    active = np.ones(len(z), dtype=bool)
     for it in range(MAX_ITER):
         if not active.any():
             break

@@ -1,19 +1,17 @@
-"""Command-line surface.
+"""Command-line surface: the command table ``_COMMANDS``, read by :func:`parse_args`.
 
-Subcommands: ``moments``, ``convolve``, ``stein-check``, ``nc``,
-``berry-esseen``, ``fit``.  Measures and experiment configs are JSON
-documents (inline or file paths); densities and experiment results are
-CSV.  Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 fit refusal.
+Options come in any order, whole flags only, as ``--flag value`` or ``--flag=value``;
+whatever ``float`` reads is a value.  ``-h`` prints help; a usage error exits 2.
+Measures and configs are JSON (inline or a path), densities and results CSV.  Exit
+codes: 0 success, 2 usage or configuration error, 3 numerical failure, 4 fit refusal.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import sys
+import types
 from pathlib import Path
 
 from . import experiment as ex
@@ -30,9 +28,7 @@ EXIT_FIT_REFUSAL = 4
 def _load_json(text_or_path: str) -> dict:
     s = text_or_path.strip()
     try:
-        if s.startswith("{"):
-            return json.loads(s)
-        return json.loads(Path(text_or_path).read_text())
+        return json.loads(s if s.startswith("{") else Path(text_or_path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read JSON from {text_or_path!r}: {exc}") from exc
 
@@ -117,12 +113,10 @@ def _cmd_stein_check(args) -> int:
 
 
 def _parse_partition(blocks_json: str, n: int | None = None) -> ncpart.NcPartition:
-    """A non-crossing partition of [n], n in 1..MAX_GROUND_SET; n defaults to the
-    number of elements given."""
+    """A non-crossing partition of [n], n in 1..MAX_GROUND_SET (default: the elements given)."""
     try:
         blocks = json.loads(blocks_json)
-        if n is None:
-            n = sum(map(len, blocks))
+        n = sum(map(len, blocks)) if n is None else n
         check_count(n, "the ground set size", 1, ncpart.MAX_GROUND_SET)
         return ncpart.NcPartition.noncrossing(n, blocks)
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
@@ -197,82 +191,88 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser that reads every number as a value, never as a flag.
+# command -> (handler, help, {flag or "what": (arity, type or choices, default or ..., help)})
+_COMMANDS = {
+    "moments": (_cmd_moments, "moment / free-cumulant table of a measure", {
+        "--measure": (1, str, ..., "measure JSON, inline or a path"),
+        "--order": (1, int, 8, "highest order"), "--cumulants": (0, bool, False, "add cumulants")}),
+    "convolve": (_cmd_convolve, "n-fold free self-convolution, density to CSV", {
+        "--measure": (1, str, ..., "measure JSON"), "--out": (1, str, ..., "output CSV"),
+        "-n": (1, int, ..., "summands"), "--points": (1, int, ex.DEFAULT_GRID_POINTS, "grid size"),
+        "--scale": (1, str, "auto", "dilation"), "--window": (2, float, None, "LO HI")}),
+    "stein-check": (_cmd_stein_check, "discrepancy, generator and dual-equation tables", {
+        "--measure": (1, str, ..., "measure JSON"), "--order": (1, int, 8, "highest order")}),
+    "nc": (_cmd_nc, "non-crossing lattice utilities", {
+        "what": (1, ("count", "mobius", "kreweras"), ..., "count, mobius or kreweras"),
+        "-n": (1, int, 4, "ground set"), "--p": (1, str, None, "mobius: lower partition"),
+        "--q": (1, str, None, "mobius: upper partition"), "--blocks": (1, str, None, "kreweras")}),
+    "berry-esseen": (_cmd_berry_esseen, "full rate experiment from a JSON config", {
+        "--config": (1, str, ..., "experiment config JSON, inline or a path")}),
+    "fit": (_cmd_fit, "log-log slope from an experiment CSV", {
+        "--csv": (1, str, ..., "experiment CSV"), "--metric": (1, ex.ALL_METRICS, ..., "distance"),
+        "--floor": (1, float, 0.0, "discretization floor"), "--min-n": (1, int, 0, "least n")}),
+}
 
-    argparse tells a negative number from an option by a pattern that
-    knows only the ``-5`` and ``-.5`` forms, so ``-1e-3`` read as a flag.
-    Here whatever ``float`` accepts is a value.  No option of any
-    subcommand looks like a number.  Subparsers are built from the same
-    class.
-    """
 
-    def _parse_optional(self, arg_string):
+def _help(command) -> str:
+    """Usage line, help and options of ``command``, or of every command after the top usage."""
+    if command not in _COMMANDS:
+        return "\n\n".join(["usage: freestein [-h] COMMAND ...", *map(_help, _COMMANDS)])
+    usage, rows = [f"usage: freestein {command} [-h]"], [_COMMANDS[command][1], "", "options:"]
+    for flag, (arity, _, default, text) in _COMMANDS[command][2].items():
+        word = " ".join([flag][: flag != "what"] + [flag.lstrip("-").upper()] * arity)
+        usage.append(word if default is ... else f"[{word}]")
+        rows.append(f"  {word:24}{text}{'' if default in (None, False, ...) else f' ({default})'}")
+    return "\n".join([" ".join(usage), "", *rows])
+
+
+def _fail(command, msg: str):
+    print(_help(command).splitlines()[0], "freestein: error: " + msg, sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_value(token: str) -> bool:
+    try:
+        return float(token) is not None  # whatever float reads
+    except ValueError:
+        return not token.startswith("-")
+
+
+def parse_args(argv=None) -> types.SimpleNamespace:
+    """argv read by the command table, as the module docstring says."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else ""
+    if {"-h", "--help"} & {*argv}:
+        print(_help(command))
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        _fail(None, f"invalid command {command!r} (choose from {', '.join(_COMMANDS)})")
+    options, given, tokens = _COMMANDS[command][2], {}, argv[:0:-1]
+    while tokens:
+        token = tokens.pop()
+        flag, eq, value = token.partition("=") if token.startswith("-") else ("what", "=", token)
+        if flag not in options or flag in given and flag == "what":
+            _fail(command, f"unrecognized argument {token!r}")
+        (arity, kind, _, _), values = options[flag], [value][: len(eq)]
+        while len(values) < arity and tokens and _is_value(tokens[-1]):
+            values.append(tokens.pop())
         try:
-            float(arg_string)
+            read = [kind(v) if callable(kind) else kind[kind.index(v)] for v in values]
         except ValueError:
-            return super()._parse_optional(arg_string)
-        return None
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after.
-
-    Parsing keeps no state in the parser, so one tree serves every
-    :func:`main` call of a process.
-    """
-    ap = _Parser(
-        prog="freestein",
-        description="Free-probability Stein machinery and Berry-Esseen rate experiments.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("moments", help="moment / free-cumulant table of a measure")
-    p.add_argument("--measure", required=True, help="measure JSON (inline or path)")
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--cumulants", action="store_true", help="include free cumulants")
-    p.set_defaults(func=_cmd_moments)
-
-    p = sub.add_parser("convolve", help="n-fold free self-convolution, density to CSV")
-    p.add_argument("--measure", required=True)
-    p.add_argument("-n", type=int, required=True, help="number of free summands")
-    p.add_argument("--scale", default="auto", help="dilation per summand (default 1/sqrt(n))")
-    p.add_argument("--out", required=True, help="output density CSV")
-    p.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--points", type=int, default=ex.DEFAULT_GRID_POINTS)
-    p.set_defaults(func=_cmd_convolve)
-
-    p = sub.add_parser("stein-check", help="discrepancy, generator and dual-equation tables")
-    p.add_argument("--measure", required=True)
-    p.add_argument("--order", type=int, default=8)
-    p.set_defaults(func=_cmd_stein_check)
-
-    p = sub.add_parser("nc", help="non-crossing lattice utilities")
-    p.add_argument("what", choices=("count", "mobius", "kreweras"))
-    p.add_argument("-n", type=int, default=4, help="ground-set size")
-    p.add_argument("--p", help="lower partition as JSON blocks (mobius)")
-    p.add_argument("--q", help="upper partition as JSON blocks (mobius)")
-    p.add_argument("--blocks", help="partition as JSON blocks (kreweras)")
-    p.set_defaults(func=_cmd_nc)
-
-    p = sub.add_parser("berry-esseen", help="full rate experiment from a JSON config")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_berry_esseen)
-
-    p = sub.add_parser("fit", help="log-log slope from an experiment CSV")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--metric", choices=ex.ALL_METRICS, required=True)
-    p.add_argument("--floor", type=float, default=0.0, help="discretization floor")
-    p.add_argument("--min-n", type=int, default=0)
-    p.set_defaults(func=_cmd_fit)
-    return ap
+            read = []
+        if len(read) != arity:
+            _fail(command, f"argument {flag} takes {arity} valid value(s), got {values}")
+        given[flag] = read if arity == 2 else read[0] if read else True
+    if missing := [f for f, spec in options.items() if spec[2] is ... and f not in given]:
+        _fail(command, "missing required argument " + ", ".join(missing))
+    return types.SimpleNamespace(command=command, **{
+        f.lstrip("-").replace("-", "_"): given.get(f, spec[2]) for f, spec in options.items()})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

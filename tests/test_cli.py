@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,11 +35,14 @@ def run_fresh(argv):
 
 
 class TestParser:
-    def test_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
+    def test_importing_the_cli_loads_no_argparse(self):
+        code = "import sys, freestein.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (done.returncode, done.stdout) == (0, "[]\n")
 
     def test_shared_parser_prints_what_fresh_processes_print(self, capsys):
-        # one process: a refusal by argparse, then two valid commands on the same parser
+        # one process: a refusal by the parser, then two valid commands
         commands = [
             ["stein-check", "--measure", BERN_JSON, "--order", "6"],
             ["nc", "count", "-n", "7"],
@@ -57,6 +61,158 @@ class TestParser:
             fresh = run_fresh(argv)
             assert fresh.returncode == 0
             assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr)
+
+
+SEMI_JSON = '{"type": "semicircle", "mean": -0.3, "variance": 0.49}'
+README_BERN = '{"type":"atomic","atoms":[[1,0.5],[-1,0.5]]}'
+
+# argv -> the namespace it parses to, recorded from the argparse parser this
+# table replaced: the README examples, the commands the benchmark runs,
+# negative values, the --flag=value form and nc's positional after options
+PARSED = [
+    (["moments", "--measure", README_BERN, "--order", "8", "--cumulants"],
+     {"command": "moments", "measure": README_BERN, "order": 8, "cumulants": True}),
+    (["convolve", "--measure", "bernoulli.json", "-n", "64", "--out", "nu64.csv"],
+     {"command": "convolve", "measure": "bernoulli.json", "n": 64, "scale": "auto",
+      "out": "nu64.csv", "window": None, "points": 2001}),
+    (["stein-check", "--measure", "bernoulli.json", "--order", "8"],
+     {"command": "stein-check", "measure": "bernoulli.json", "order": 8}),
+    (["nc", "count", "-n", "8"],
+     {"command": "nc", "what": "count", "n": 8, "p": None, "q": None, "blocks": None}),
+    (["nc", "mobius", "-n", "5"],
+     {"command": "nc", "what": "mobius", "n": 5, "p": None, "q": None, "blocks": None}),
+    (["nc", "kreweras", "--blocks", "[[1,2],[3]]"],
+     {"command": "nc", "what": "kreweras", "n": 4, "p": None, "q": None, "blocks": "[[1,2],[3]]"}),
+    (["berry-esseen", "--config", "experiment.json"],
+     {"command": "berry-esseen", "config": "experiment.json"}),
+    (["fit", "--csv", "rates.csv", "--metric", "w1", "--floor", "6e-6"],
+     {"command": "fit", "csv": "rates.csv", "metric": "w1", "floor": 6e-06, "min_n": 0}),
+    (["stein-check", "--measure", SEMI_JSON, "--order", "6"],
+     {"command": "stein-check", "measure": SEMI_JSON, "order": 6}),
+    (["nc", "count", "-n", "9"],
+     {"command": "nc", "what": "count", "n": 9, "p": None, "q": None, "blocks": None}),
+    (["nc", "mobius", "-n", "6"],
+     {"command": "nc", "what": "mobius", "n": 6, "p": None, "q": None, "blocks": None}),
+    (["nc", "kreweras", "--blocks", "[[1, 4], [2, 3], [5, 6]]"],
+     {"command": "nc", "what": "kreweras", "n": 4, "p": None, "q": None,
+      "blocks": "[[1, 4], [2, 3], [5, 6]]"}),
+    (["moments", "--measure", SEMI_JSON, "--order", "10", "--cumulants"],
+     {"command": "moments", "measure": SEMI_JSON, "order": 10, "cumulants": True}),
+    (["convolve", "--measure", README_BERN, "-n", "4", "--out", "d.csv", "--window", "-2.5e0", "2.5"],
+     {"command": "convolve", "measure": README_BERN, "n": 4, "scale": "auto", "out": "d.csv",
+      "window": [-2.5, 2.5], "points": 2001}),
+    (["convolve", "--measure", README_BERN, "-n", "4", "--out", "d.csv", "--scale", "-1e-1"],
+     {"command": "convolve", "measure": README_BERN, "n": 4, "scale": "-1e-1", "out": "d.csv",
+      "window": None, "points": 2001}),
+    (["convolve", "--measure", README_BERN, "-n", "4", "--out", "d.csv", "--window", "-3", "-1"],
+     {"command": "convolve", "measure": README_BERN, "n": 4, "scale": "auto", "out": "d.csv",
+      "window": [-3.0, -1.0], "points": 2001}),
+    (["convolve", "--measure=" + README_BERN, "-n", "4", "--out=d.csv", "--scale=-0.1", "--points=257"],
+     {"command": "convolve", "measure": README_BERN, "n": 4, "scale": "-0.1", "out": "d.csv",
+      "window": None, "points": 257}),
+    (["stein-check", "--order=6", "--measure=" + README_BERN],
+     {"command": "stein-check", "measure": README_BERN, "order": 6}),
+    (["fit", "--csv=rates.csv", "--metric=kol", "--min-n=16", "--floor=-1e-3"],
+     {"command": "fit", "csv": "rates.csv", "metric": "kol", "floor": -0.001, "min_n": 16}),
+    (["nc", "-n", "7", "count"],
+     {"command": "nc", "what": "count", "n": 7, "p": None, "q": None, "blocks": None}),
+    (["nc", "--blocks", "[[1,2],[3]]", "kreweras"],
+     {"command": "nc", "what": "kreweras", "n": 4, "p": None, "q": None, "blocks": "[[1,2],[3]]"}),
+    (["nc", "-n", "4", "--p", "[[1],[2,3],[4]]", "mobius", "--q", "[[1,2,3,4]]"],
+     {"command": "nc", "what": "mobius", "n": 4, "p": "[[1],[2,3],[4]]", "q": "[[1,2,3,4]]",
+      "blocks": None}),
+    (["nc", "--p=[[1],[2],[3]]", "-n=3", "mobius"],
+     {"command": "nc", "what": "mobius", "n": 3, "p": "[[1],[2],[3]]", "q": None, "blocks": None}),
+]
+
+# stdout of the argparse parser's commands, recorded from it
+NC_STDOUT = {
+    ("nc", "count", "-n", "8"): "n=8 |NC(n)|=1430 Bell(n)=4140\nenumerated=1430\n",
+    ("nc", "mobius", "-n", "5"): "mu(0,1) over NC(5) = 14\n",
+    ("nc", "kreweras", "--blocks", "[[1,2],[3]]"): "[[1], [2, 3]]\n",
+    ("nc", "kreweras", "--blocks", "[[1, 4], [2, 3], [5, 6]]"): "[[1, 3], [2], [4, 6], [5]]\n",
+    ("nc", "-n", "7", "count"): "n=7 |NC(n)|=429 Bell(n)=877\nenumerated=429\n",
+    ("nc", "--blocks", "[[1,2],[3]]", "kreweras"): "[[1], [2, 3]]\n",
+    ("nc", "-n", "4", "--p", "[[1],[2,3],[4]]", "mobius", "--q", "[[1,2,3,4]]"): "2\n",
+}
+
+
+def _runs_without_files(argv) -> bool:
+    return argv[0] == "nc" or argv[0] in ("moments", "stein-check") and ".json" not in " ".join(argv)
+
+
+class TestParseContract:
+    @pytest.mark.parametrize("argv, want", PARSED, ids=range(len(PARSED)))
+    def test_namespace(self, argv, want):
+        assert vars(cli.parse_args(argv)) == want
+
+    @pytest.mark.parametrize(
+        "argv, want", [case for case in PARSED if _runs_without_files(case[0])], ids=str
+    )
+    def test_stdout_is_the_handlers_on_the_recorded_namespace(self, argv, want, capsys):
+        assert run(argv) == 0
+        got = capsys.readouterr().out
+        assert cli._COMMANDS[want["command"]][0](SimpleNamespace(**want)) == 0
+        assert got == capsys.readouterr().out != ""
+        assert got == NC_STDOUT.get(tuple(argv), got)
+
+    def test_every_pinned_stdout_is_run(self):
+        assert set(NC_STDOUT) <= {tuple(argv) for argv, _ in PARSED}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["no-such-command"], "no-such-command"),
+            (["stein-check", "--measure", BERN_JSON, "--theta", "1e-5"], "--theta"),
+            (["stein-check", "--measure", BERN_JSON, "--ord", "8"], "--ord"),
+            (["nc", "count", "-n4"], "'-n4'"),
+            (["stein-check", "--order", "6"], "--measure"),
+            (["stein-check", "--measure", BERN_JSON, "--order", "x"], "'x'"),
+            (["nc", "frob"], "'frob'"),
+            (["convolve", "--measure", BERN_JSON, "-n", "4", "--out", "d.csv", "--window", "1"],
+             "--window"),
+            (["stein-check", "--measure", "--order", "6"], "--measure"),
+            (["moments", "--measure", BERN_JSON, "--cumulants=yes"], "--cumulants"),
+            (["nc", "count", "mobius"], "'mobius'"),
+            ([], "''"),
+        ],
+        ids=["unknown-command", "unknown-flag", "abbreviated-flag", "attached-short-value",
+             "missing-required",
+             "order-not-an-int", "nc-choice", "window-one-value", "flag-for-a-value",
+             "value-for-a-switch", "second-positional", "no-command"],
+    )
+    def test_exits_2_naming_the_token(self, argv, token, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: freestein")
+        assert error.startswith("freestein: error: ") and token in error
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, (_, text, _) in cli._COMMANDS.items():
+            assert f"usage: freestein {name} " in out and text in out
+
+    @pytest.mark.parametrize("command", ["stein-check", "nc", "convolve"])
+    def test_command_help_lists_every_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--measure", BERN_JSON, "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0].startswith(f"usage: freestein {command} [-h]")
+        for flag, (_, _, _, text) in cli._COMMANDS[command][2].items():
+            word = flag if flag != "what" else "WHAT"
+            assert any(line.lstrip().startswith(word) and text in line for line in lines[1:])
 
 
 class TestMoments:
@@ -409,7 +565,6 @@ class TestNc:
         assert "config error" in captured.err
 
     def test_count_holds_no_lattice(self, capsys):
-        cli.build_parser()  # built once per process, so not counted against the walk
         tracemalloc.start()
         try:
             assert run(["nc", "count", "-n", "11"]) == 0
