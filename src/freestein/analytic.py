@@ -435,8 +435,11 @@ def moments_from_evaluator(evaluator, order: int) -> momentalg.MomentSequence:
 def semicircle_density(
     lo: float, hi: float, n_points: int = 2001, mean: float = 0.0, variance: float = 1.0
 ) -> GridDensity:
-    """Closed-form semicircle density sqrt(4 s^2 - (x-m)^2) / (2 pi s^2)."""
+    """Closed-form semicircle density sqrt(4 s^2 - (x-m)^2) / (2 pi s^2), its window
+    read by :func:`check_window` and its law by :meth:`MeasureSpec.semicircle`."""
+    n_points = check_window(lo, hi, n_points)
+    law = MeasureSpec.semicircle(mean, variance)
     xs = np.linspace(lo, hi, n_points)
-    arg = 4.0 * variance - (xs - mean) ** 2
-    vals = np.sqrt(np.clip(arg, 0.0, None)) / (2.0 * math.pi * variance)
+    arg = 4.0 * law.variance - (xs - law.mean) ** 2
+    vals = np.sqrt(np.clip(arg, 0.0, None)) / (2.0 * math.pi * law.variance)
     return GridDensity(lo, hi, vals)

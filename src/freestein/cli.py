@@ -18,6 +18,7 @@ from . import experiment as ex
 from . import ncpart, stein
 from .analytic import MAX_N, MeasureSpec, check_window, nfold_convolve, stieltjes_density
 from .errors import ConfigError, ConvergenceError, FitRefusalError, check_count, check_real
+from .metrics import ALL_METRICS
 from .momentalg import MAX_ORDER, moments_to_cumulants, semicircle_moments
 
 EXIT_CONFIG = 2
@@ -93,12 +94,12 @@ def _cmd_stein_check(args) -> int:
     disc = stein.stein_discrepancy(m.truncated(args.order))
     print("# Stein discrepancy d_r = m_{r+1} - sum m_k m_{r-1-k}")
     print("r\td_r")
-    for r, v in enumerate(disc.values):
+    for r, v in enumerate(disc):
         print(f"{r}\t{float(v):.12g}")
     print("# semigroup generator: closed form vs finite difference "
           f"(theta_step={stein.FD_THETA_STEP:g})")
     print("p\tclosed\tfinite_diff\tabs_err")
-    fds = stein.finite_difference_table(m, args.order, stein.FD_THETA_STEP)
+    fds = stein.finite_difference_table(m, args.order)
     for p, fd in enumerate(fds, start=1):
         closed = float(stein.generator_apply(m, p))
         print(f"{p}\t{closed:.12g}\t{fd:.12g}\t{abs(fd - closed):.3e}")
@@ -144,18 +145,13 @@ def _cmd_nc(args) -> int:
         return 0
     if args.what == "mobius":
         _require(args, "n", 1, ncpart.MAX_GROUND_SET)
-        if args.p or args.q:
-            p = _parse_partition(args.p, args.n) if args.p else ncpart.NcPartition.zero(args.n)
-            q = _parse_partition(args.q, args.n) if args.q else ncpart.NcPartition.one(args.n)
-            try:
-                mu = ncpart.mobius(p, q)
-            except ValueError as exc:
-                raise ConfigError(f"nc mobius --p/--q: {exc}") from exc
-            print(mu)
-        else:
-            p = ncpart.NcPartition.zero(args.n)
-            q = ncpart.NcPartition.one(args.n)
-            print(f"mu(0,1) over NC({args.n}) = {ncpart.mobius(p, q)}")
+        p = _parse_partition(args.p, args.n) if args.p else ncpart.NcPartition.zero(args.n)
+        q = _parse_partition(args.q, args.n) if args.q else ncpart.NcPartition.one(args.n)
+        try:
+            mu = ncpart.mobius(p, q)
+        except ValueError as exc:
+            raise ConfigError(f"nc mobius --p/--q: {exc}") from exc
+        print(mu if args.p or args.q else f"mu(0,1) over NC({args.n}) = {mu}")
         return 0
     part = _parse_partition(args.blocks)
     comp = ncpart.kreweras(part)
@@ -172,7 +168,7 @@ def _cmd_berry_esseen(args) -> int:
             print(f"n={n}: FAILED (subordination)")
             continue
         # an asked-for distance is None only when it is a refused TV
-        shown = [(m, getattr(rep, "d_" + m)) for m in ex.ALL_METRICS if m in cfg.metrics]
+        shown = [(m, getattr(rep, "d_" + m)) for m in ALL_METRICS if m in cfg.metrics]
         cells = [f"d_{m}=" + ("refused" if v is None else f"{v:.6g}") for m, v in shown]
         print(f"n={n}: {' '.join(cells)} mass_deficit={rep.mass_deficit:.2e}")
     print(f"wrote {cfg.output}")
@@ -209,7 +205,7 @@ _COMMANDS = {
     "berry-esseen": (_cmd_berry_esseen, "full rate experiment from a JSON config", {
         "--config": (1, str, ..., "experiment config JSON, inline or a path")}),
     "fit": (_cmd_fit, "log-log slope from an experiment CSV", {
-        "--csv": (1, str, ..., "experiment CSV"), "--metric": (1, ex.ALL_METRICS, ..., "distance"),
+        "--csv": (1, str, ..., "experiment CSV"), "--metric": (1, ALL_METRICS, ..., "distance"),
         "--floor": (1, float, 0.0, "discretization floor"), "--min-n": (1, int, 0, "least n")}),
 }
 

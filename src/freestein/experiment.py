@@ -34,9 +34,9 @@ from .analytic import (
 )
 from .errors import (ConfigError, ConvergenceError, FitRefusalError, MassRecoveryWarning,
                      check_count, check_real)
+from .metrics import ALL_METRICS
 
 CSV_HEADER = "n,d_kol,d_tv,d_w1,mass_deficit,subord_iters,runtime_ms"
-ALL_METRICS = ("kol", "tv", "w1")
 DEFAULT_N_VALUES = (4, 8, 16, 32, 64, 128, 256, 512)
 DEFAULT_GRID_POINTS = 2001
 # auto window half-width: the handle's support radius, capped by superconvergence scale,
@@ -326,11 +326,13 @@ class RateFit:
 def fit_rate(points, metric: str = "", floor: float = 0.0) -> RateFit:
     """OLS fit of log d = slope * log n + intercept.
 
-    Each n is read by the rule of :func:`read_rows`: a whole number from 1
-    to MAX_N, once, else ValueError.  Points with non-finite or non-positive
+    ``floor`` is a finite real >= 0, read before any point, and each n is
+    read by the rule of :func:`read_rows`: a whole number from 1 to MAX_N,
+    once; else ValueError.  Points with non-finite or non-positive
     distances, or within ``FLOOR_MULTIPLE`` of the discretization floor, are
     discarded; fewer than 4 survivors raises :class:`FitRefusalError`.
     """
+    floor = check_real(floor, "floor", 0.0)
     usable, seen = [], set()
     for n, d in points:
         n = check_count(n, "n", 1, MAX_N)

@@ -1,12 +1,12 @@
 """Distances between grid densities: Kolmogorov, total variation, W1.
 
-:func:`distance_report` is the one implementation; :func:`kolmogorov`,
-:func:`total_variation` and :func:`wasserstein1` each read one of its
-fields.  It compares two densities on one uniform grid, and refuses a pair
-on different grids (ValueError).  TV and W1 integrate with the grid's
-trapezoid ``weights``; the CDFs are the cumulative trapezoid rule.  The
-Wasserstein distance is the classical CDF-difference integral, the upper
-bound through which the non-commutative distance is controlled.
+:func:`distance_report` is the one entry.  It compares two densities on one
+uniform grid, and refuses a pair on different grids (ValueError).  TV and
+W1 integrate with the grid's trapezoid ``weights``; the CDFs are the
+cumulative trapezoid rule.  A TV refused for a mass deficit is ``d_tv =
+None``.  The Wasserstein distance is the classical CDF-difference
+integral, the upper bound through which the non-commutative distance is
+controlled.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from .analytic import GridDensity
 
 TV_DEFICIT_LIMIT = 1e-3
+ALL_METRICS = ("kol", "tv", "w1")
 # names the distance method in result side-cars; change it when the method changes
 DISTANCE_METHOD = "grid-trapezoid"
 
@@ -41,35 +42,16 @@ def _cdf_on(xs: np.ndarray, f: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def kolmogorov(a: GridDensity, b: GridDensity) -> float:
-    """sup_x |F_a(x) - F_b(x)| over the grid nodes."""
-    return distance_report(a, b, ("kol",)).d_kol
-
-
-def total_variation(a: GridDensity, b: GridDensity) -> float:
-    """Half the L1 distance of the densities.
-
-    Refused (ValueError) when either input is mass-deficient; a density
-    that silently dropped an atom would understate the distance.
-    """
-    rep = distance_report(a, b, ("tv",))
-    if rep.d_tv is None:
-        raise ValueError(f"total variation unavailable: mass deficit {rep.mass_deficit:.4f}")
-    return rep.d_tv
-
-
-def wasserstein1(a: GridDensity, b: GridDensity) -> float:
-    """W1 distance as the integral of |F_a - F_b| over the grid's window."""
-    return distance_report(a, b, ("w1",)).d_w1
-
-
-def distance_report(a: GridDensity, b: GridDensity, metrics=("kol", "tv", "w1")) -> DistanceReport:
+def distance_report(a: GridDensity, b: GridDensity, metrics=ALL_METRICS) -> DistanceReport:
     """The requested distances, None for the others; TV refusal is d_tv = None.
 
-    Densities on different grids raise ValueError, whichever metrics are
-    asked.  ``mass_deficit`` is the larger ``GridDensity.mass_deficit`` of
-    the two, and TV is refused when it reaches ``TV_DEFICIT_LIMIT``.
+    A metric outside ``ALL_METRICS`` raises ValueError, and so do densities
+    on different grids, whichever metrics are asked.  ``mass_deficit`` is the
+    larger ``GridDensity.mass_deficit`` of the two, and TV is refused when it
+    reaches ``TV_DEFICIT_LIMIT``.
     """
+    if unknown := set(metrics) - set(ALL_METRICS):
+        raise ValueError(f"unknown metrics {sorted(unknown)}; choose from {ALL_METRICS}")
     if (a.lo, a.hi, a.n_points) != (b.lo, b.hi, b.n_points):
         raise ValueError(f"distances need densities on one grid, got {a!r} and {b!r}")
     deficit = max(a.mass_deficit, b.mass_deficit)

@@ -5,6 +5,7 @@ pairs against product measures.  Against monomial test functions the
 pairing collapses to pure moment arithmetic (the difference quotient of
 x^r is the complete homogeneous sum), which is how everything here is
 evaluated: no grids, no diagonal issues.
+Results are plain values: the discrepancy a tuple, the tables lists.
 
 The dual Stein equation is solved by integrating the pairing along the
 whole semicircular Ornstein-Uhlenbeck flow, whose action on free
@@ -17,16 +18,15 @@ is loaded.
 
 Each table is built from one flow.  The moment/cumulant series is a
 forward recursion, so m_p depends on kappa_1..kappa_p only, by the same
-arithmetic at any truncation order: one evolution at the step gives every
-finite difference, and one rule with deg//2 + 2 nodes for the table's top
-degree, one evolution per node, gives the dual pairing of every monomial
-up to that degree.
+arithmetic at any truncation order: one evolution at ``FD_THETA_STEP``,
+the one theta step, gives every finite difference, and one rule with
+deg//2 + 2 nodes for the table's top degree, one evolution per node, gives
+the dual pairing of every monomial up to that degree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,8 +43,7 @@ from .momentalg import (
 
 _DIAG_CUTOFF = 1e-8
 _DIAG_STEP = 1e-5
-MAX_THETA_STEP = 1e-3
-#: the theta step of the finite-difference generator check in ``stein-check``
+#: the theta step of every finite difference of the flow
 FD_THETA_STEP = 1e-5
 
 #: Fixed measures used by consistency checks and the acceptance suite:
@@ -74,40 +73,22 @@ def stein_operator_eval(g, x: float, y: float) -> float:
     return -x * g(x) + (g(y) - g(x)) / (y - x)
 
 
-@dataclass(frozen=True)
-class SteinDiscrepancy:
-    """Deviations d_r = m_{r+1} - sum_{k<r} m_k m_{r-1-k}, r = 0..N-1.
-
-    The vector vanishes identically exactly when the moments are the
-    semicircle's through order N.  Oriented like the moment recursion:
-    the raw operator pairing <mu (x) mu, L[x^r]> equals -d_r.
-    """
-
-    values: tuple
-
-    @property
-    def max_abs(self) -> float:
-        return max(abs(float(v)) for v in self.values)
-
-    def is_zero(self, tol: float = 1e-12) -> bool:
-        return self.max_abs <= tol
-
-
 def _gap(m: MomentSequence, r: int):
     """m_{r+1} - sum_{k<r} m_k m_{r-1-k}: zero for every r exactly on the semicircle."""
     return m[r + 1] - sum(m[k] * m[r - 1 - k] for k in range(r))
 
 
-def stein_discrepancy(m: MomentSequence) -> SteinDiscrepancy:
-    """Pairing of mu (x) mu against L[x^r] for r = 0..order-1."""
-    return SteinDiscrepancy(tuple(_gap(m, r) for r in range(m.order)))
+def stein_discrepancy(m: MomentSequence) -> tuple:
+    """(d_0, .., d_{order-1}), all zero exactly on the semicircle's moments; the raw
+    operator pairing <mu (x) mu, L[x^r]> equals -d_r, with d_r as in :func:`_gap`."""
+    return tuple(_gap(m, r) for r in range(m.order))
 
 
 def generator_apply(m: MomentSequence, p: int):
     """Closed form of d/dtheta <P_theta mu, x^p> at theta = 0.
 
     Equals -p m_p + p sum_{l=0}^{p-2} m_l m_{p-2-l} = -p d_{p-1}, with d the
-    :func:`stein_discrepancy` vector; identically zero on the semicircle.
+    :func:`stein_discrepancy` tuple; identically zero on the semicircle.
     """
     p = check_count(p, "the power p", 1, m.order)
     return -p * _gap(m, p - 1)
@@ -130,29 +111,27 @@ def evolved_moments(m: MomentSequence, theta: float) -> MomentSequence:
     return cumulants_to_moments(evolve_cumulants(moments_to_cumulants(m), theta))
 
 
-def finite_difference_table(m: MomentSequence, order: int, theta_step: float) -> list:
-    """(m_p(P_theta mu) - m_p(mu)) / theta for p = 1..order, at theta = theta_step.
+def finite_difference_table(m: MomentSequence, order: int) -> list:
+    """(m_p(P_theta mu) - m_p(mu)) / theta for p = 1..order, at theta = ``FD_THETA_STEP``.
 
     ``m`` holds the moments of mu to at least ``order``; the flow runs on
     its prefix to max(order, 2).  One cumulant flow serves every p: m_p
     depends only on kappa_1..kappa_p, and the series recursion computes it
     by the same arithmetic at any truncation order, so entry p - 1 equals
     the order-p table's last entry bit for bit.  The evolved moments are
-    exact, so the only error is the O(theta_step) finite-difference bias
+    exact, so the only error is the O(FD_THETA_STEP) finite-difference bias
     against :func:`generator_apply`.
     """
     order = check_count(order, "the table order", 1, m.order)
-    # (0, MAX_THETA_STEP]: the least positive float is the least step
-    theta_step = check_real(theta_step, "theta_step", math.ulp(0.0), MAX_THETA_STEP)
     m0 = m.truncated(max(order, 2))
-    m1 = evolved_moments(m0, theta_step)
-    return [(float(m1[p]) - float(m0[p])) / theta_step for p in range(1, order + 1)]
+    m1 = evolved_moments(m0, FD_THETA_STEP)
+    return [(float(m1[p]) - float(m0[p])) / FD_THETA_STEP for p in range(1, order + 1)]
 
 
-def generator_finite_difference(mu: MeasureSpec, p: int, theta_step: float) -> float:
+def generator_finite_difference(mu: MeasureSpec, p: int) -> float:
     """Entry p of :func:`finite_difference_table` for the law mu."""
     p = check_count(p, "the power p", 1, MAX_ORDER)
-    return finite_difference_table(mu.moments(max(p, 2)), p, theta_step)[p - 1]
+    return finite_difference_table(mu.moments(max(p, 2)), p)[p - 1]
 
 
 @lru_cache(maxsize=None)

@@ -371,6 +371,27 @@ class TestCheckWindow:
                 an.check_window(-2, 2, bad)
 
 
+    @pytest.mark.parametrize(
+        "lo, hi, n_points",
+        [(-2.0, 2.0, 10), (-2.0, 2.0, an.MAX_GRID_POINTS + 1), (-2.0, 2.0, 201.5),
+         (2.0, -2.0, 201), (-2.0, math.inf, 201)],
+        ids=["10-points", "above-max", "fraction", "reversed", "hi-inf"],
+    )
+    def test_semicircle_density_obeys_the_window_rule(self, lo, hi, n_points):
+        # the reference density is refused where stieltjes_density is
+        with pytest.raises(ValueError, match="grid point count|finite width"):
+            an.semicircle_density(lo, hi, n_points)
+
+    @pytest.mark.parametrize(
+        "mean, variance",
+        [(0.0, 0.0), (0.0, -1.0), (math.nan, 1.0), (0.0, math.inf), (True, 1.0)],
+        ids=["zero-variance", "negative-variance", "nan-mean", "inf-variance", "bool-mean"],
+    )
+    def test_semicircle_density_reads_its_law_like_measure_spec(self, mean, variance):
+        with pytest.raises(ValueError, match="semicircle needs a finite mean"):
+            an.semicircle_density(-2.0, 2.0, 201, mean, variance)
+
+
 class TestGridDensity:
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):

@@ -412,6 +412,17 @@ class TestFitRate:
         with pytest.raises(ValueError, match="n must be a whole number"):
             ex.fit_rate(pts, "kol")
 
+    @pytest.mark.parametrize(
+        "floor", [math.nan, math.inf, -1.0, True, "0"],
+        ids=["nan", "inf", "negative", "bool", "text"],
+    )
+    def test_floor_is_read_by_the_number_rule_first(self, floor):
+        # a nan floor used to discard every point and refuse the fit; the floor
+        # is read before the refused n = 0
+        pts = [(0, 0.5)] + [(m, m**-0.5) for m in (16, 32, 64, 128)]
+        with pytest.raises(ValueError, match=r"floor must be a finite real >= 0, got"):
+            ex.fit_rate(pts, "kol", floor=floor)
+
     def test_repeated_n_refused_by_name(self):
         with pytest.raises(ValueError, match="n = 8 twice"):
             ex.fit_rate([(8, 0.4), (16, 0.3), (8.0, 0.2), (32, 0.1)], "kol")
