@@ -21,10 +21,18 @@ MATCH_TOL = 1e-12
 MAX_ORDER = 12
 
 
+def _check_entries(vals: tuple, what: str, name: str, start: int) -> None:
+    """Refuse the first entry that is not a finite real by the number rule, naming it."""
+    for j, v in enumerate(vals, start):
+        if not _real(v):
+            raise ValueError(f"{what} must be finite reals, got {name.format(j)} = {v!r}")
+
+
 class MomentSequence:
     """Truncated moment vector (m_0, ..., m_N) of a compactly supported law.
 
-    Construction enforces m_0 = 1, finite entries, and Hankel positive
+    Construction enforces m_0 = 1, entries that are finite reals by the
+    number rule (ints and Fractions kept as given), and Hankel positive
     semidefiniteness (a necessary condition for a genuine measure): no
     eigenvalue below -``HANKEL_TOL`` times the largest one, or times 1 if
     that is smaller, since float rounding grows with the top moments.
@@ -38,9 +46,8 @@ class MomentSequence:
         if len(vals) < 3:
             raise ValueError("moment sequence needs order >= 2 (m_0, m_1, m_2)")
         if validate:
+            _check_entries(vals, "moments", "m_{}", 0)
             arr = np.asarray([float(v) for v in vals])
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("moments must be finite")
             if abs(arr[0] - 1.0) > MATCH_TOL:
                 raise ValueError(f"m_0 must equal 1, got {vals[0]}")
             k = (len(vals) - 1) // 2
@@ -75,7 +82,8 @@ class MomentSequence:
 
 
 class FreeCumulantSequence:
-    """Truncated free cumulants (kappa_1, ..., kappa_N)."""
+    """Truncated free cumulants (kappa_1, ..., kappa_N): finite reals by the number
+    rule, kept as given."""
 
     __slots__ = ("values",)
 
@@ -83,8 +91,7 @@ class FreeCumulantSequence:
         vals = tuple(values)
         if not vals:
             raise ValueError("empty cumulant sequence")
-        if not all(math.isfinite(float(v)) for v in vals):
-            raise ValueError("cumulants must be finite")
+        _check_entries(vals, "cumulants", "kappa_{}", 1)
         self.values = vals
 
     @property

@@ -12,9 +12,9 @@ whole semicircular Ornstein-Uhlenbeck flow, whose action on free
 cumulants is explicit: with u = e^{-theta}, kappa_j -> u^j kappa_j for
 j != 2 and kappa_2 -> u^2 kappa_2 + 1 - u^2.  On u in [0, 1] the
 integrand divided by u is a polynomial, so one Gauss-Legendre rule
-integrates it exactly.  The rule comes from Golub-Welsch (the eigenvalues
-and eigenvectors of the Legendre Jacobi matrix), so no polynomial module
-is loaded.
+integrates it exactly.  The rule's nodes are found by Newton's method on
+the Legendre three-term recurrence, in plain floats, so neither a
+polynomial module nor LAPACK is touched.
 
 Each table is built from one flow.  The moment/cumulant series is a
 forward recursion, so m_p depends on kappa_1..kappa_p only, by the same
@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-import numpy as np
 
 from .analytic import MeasureSpec
 from .errors import check_count, check_real
@@ -136,16 +134,33 @@ def generator_finite_difference(mu: MeasureSpec, p: int) -> float:
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n_nodes: int) -> tuple:
-    """Gauss-Legendre nodes and weights on [-1, 1], as tuples of floats.
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], as tuples of floats.
 
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    Legendre recurrence, zero diagonal and off-diagonal k / sqrt(4k^2 - 1)
-    for k = 1..n-1, and the weights are 2 v_0^2, with v_0 the first
-    component of each unit eigenvector (2 is the mass of dx on [-1, 1]).
+    Each positive node is five Newton steps on P_n from
+    cos(pi (i - 1/4) / (n + 1/2)), with P_n and P_{n-1} from the three-term
+    recurrence and P_n' = n (P_{n-1} - x P_n) / (1 - x^2); the start is
+    within 1e-2 and the fourth step reaches rounding.  The weight is
+    2 / ((1 - x^2) P_n'(x)^2).  The negative half mirrors the positive one,
+    so the rule is exactly symmetric, and for odd n the middle node is 0
+    (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
     """
-    k = np.arange(1.0, n_nodes)
-    nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
-    return tuple(nodes.tolist()), tuple((2.0 * vecs[0] ** 2).tolist())
+
+    def legendre(x):  # (P_n(x), P_n'(x))
+        p0, p1 = 1.0, x
+        for k in range(1, n_nodes):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        return p1, n_nodes * (p0 - x * p1) / (1.0 - x * x)
+
+    xs, ws = [], []  # positive nodes, largest first
+    for i in range(1, n_nodes // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n_nodes + 0.5))
+        for _ in range(5):
+            p, dp = legendre(x)
+            x -= p / dp
+        xs.append(x)
+        ws.append(2.0 / ((1.0 - x * x) * legendre(x)[1] ** 2))
+    mid_x, mid_w = ([0.0], [2.0 / legendre(0.0)[1] ** 2]) if n_nodes % 2 else ([], [])
+    return tuple([-x for x in xs] + mid_x + xs[::-1]), tuple(ws + mid_w + ws[::-1])
 
 
 def monomial_pairings(m: MomentSequence, deg: int) -> list:
@@ -178,10 +193,11 @@ def dual_stein_pairing(mu: MeasureSpec, h) -> float:
 
     Solves the dual Stein equation: the result equals <s, h> - <mu, h>.
     The pairing is linear in h, so it is sum_p c_p times the
-    :func:`monomial_pairings` table.  The degree of h, read from its
-    coefficients, is 0..8, checked before any moment of mu is computed.
+    :func:`monomial_pairings` table.  Each coefficient c_p of h is a finite
+    real, and the degree of h, read from its coefficients, is 0..8; both
+    are checked before any moment of mu is computed.  An empty h is 0.
     """
-    coeffs = tuple(map(float, h))
+    coeffs = [check_real(c, f"coefficient c_{p} of h") for p, c in enumerate(h)]
     deg = check_count(max(len(coeffs) - 1, 0), "the degree of h", 0, 8)
     table = monomial_pairings(mu.moments(max(deg, 2)), deg)
-    return sum(c * t for c, t in zip(coeffs, table))
+    return sum((c * t for c, t in zip(coeffs, table)), 0.0)

@@ -8,9 +8,10 @@ package beyond its definition, so that helpers whose last caller went
 do not linger as test-only code.  The exact stack's command line loads
 no module it does not need: ``numpy.polynomial`` (a few milliseconds) is
 not imported by ``stein-check``, nor ``numpy.random`` (about 6 MB) by the
-seeded matrix battery.  The lattice, the transforms and the word algebra
-import nothing from ``analytic``: the number rule they share lives in
-``errors``, so they do not pull in the Cauchy-transform engine.  The
+seeded matrix battery, and ``stein`` imports no numpy at all.  The
+lattice, the transforms and the word algebra import nothing from
+``analytic``: the number rule they share lives in ``errors``, so they do
+not pull in the Cauchy-transform engine.  The
 version is written once, as ``freestein.__version__``, and
 ``pyproject.toml`` reads it from there.  Every (module, function) pair the
 benchmark's tracer wraps is a callable of that module, so renaming a
@@ -119,6 +120,28 @@ def test_exact_stack_does_not_import_analytic(name):
 def test_package_import_checker_sees_both_forms():
     source = "from .errors import a\nfrom . import analytic, metrics as m\nimport numpy\n"
     assert package_imports(source) == {"errors", "analytic", "metrics"}
+
+
+def external_imports(source: str) -> set:
+    """Top-level packages a module imports by absolute name: ``import numpy as np`` and
+    ``from numpy.linalg import eigh`` both give numpy."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_stein_imports_no_numpy():
+    # the Gauss-Legendre rule is Newton on the Legendre recurrence, in plain floats
+    assert "numpy" not in external_imports((SRC / "stein.py").read_text())
+
+
+def test_external_import_checker_sees_every_form():
+    source = "import numpy as np\nfrom scipy.linalg import eigh\nimport os.path\nfrom .errors import a\n"
+    assert external_imports(source) == {"numpy", "scipy", "os"}
 
 
 def imported_modules(*args) -> set:

@@ -110,6 +110,22 @@ class TestMomentSequenceValidation:
         with pytest.raises(ValueError, match="cumulants must be finite"):
             FreeCumulantSequence((0.0, 1.0, bad))
 
+    @pytest.mark.parametrize(
+        "kappa, bad", [(["0", "1"], "kappa_1 = '0'"), ([0.0, True], "kappa_2 = True")]
+    )
+    def test_cumulants_obey_the_number_rule(self, kappa, bad):
+        # refused at construction, not later as a TypeError inside cumulants_to_moments
+        with pytest.raises(ValueError, match=f"cumulants must be finite reals, got {bad}"):
+            FreeCumulantSequence(kappa)
+
+    @pytest.mark.parametrize(
+        "moments, bad", [([1, "0", "1", "0"], "m_1 = '0'"), ([1, 0, True], "m_2 = True")]
+    )
+    def test_validated_moments_obey_the_number_rule(self, moments, bad):
+        # refused at construction, not later as a TypeError inside moments_to_cumulants
+        with pytest.raises(ValueError, match=f"moments must be finite reals, got {bad}"):
+            MomentSequence(moments)
+
     def test_exact_cumulants_kept_as_given(self):
         kappa = (Fraction(1, 3), 2, np.float64(0.5))
         assert FreeCumulantSequence(kappa).values == kappa

@@ -215,6 +215,30 @@ class TestDualSteinPairing:
         assert np.abs(np.array(nodes) - want_nodes).max() <= 1e-15
         assert np.abs(np.array(weights) - want_weights).max() <= 2e-15
 
+    @pytest.mark.parametrize("n_nodes", range(1, 9))
+    def test_gauss_rule_is_mirror_symmetric(self, n_nodes):
+        nodes, weights = stein._gauss_legendre(n_nodes)
+        assert len(nodes) == len(weights) == n_nodes
+        assert list(nodes) == sorted(nodes)
+        assert nodes == tuple(-x for x in reversed(nodes))
+        assert weights == weights[::-1]
+        if n_nodes % 2:
+            assert nodes[n_nodes // 2] == 0.0
+        assert abs(sum(weights) - 2.0) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "h, bad",
+        [([math.nan], "c_0"), ([1.0, math.inf], "c_1"), (["1", 2], "c_0"), ([True, 1], "c_0")],
+    )
+    def test_coefficients_obey_the_number_rule(self, h, bad):
+        # read by float(), nan and inf would pair to nan, and "1" and True to 0.0
+        with pytest.raises(ValueError, match=f"coefficient {bad} of h must be a finite real"):
+            stein.dual_stein_pairing(MEASURE_BATTERY[1], h)
+
+    def test_empty_h_pairs_to_float_zero(self):
+        value = stein.dual_stein_pairing(MEASURE_BATTERY[2], [])
+        assert value == 0.0 and type(value) is float
+
     def test_bilinearity(self):
         rng = np.random.default_rng(77)
         mu = MEASURE_BATTERY[3]
@@ -307,6 +331,32 @@ class TestFlowTables:
         # for the dual column, and one cumulant transform per table
         assert calls["cumulants_to_moments"] <= 6
         assert calls["moments_to_cumulants"] <= 2
+
+
+def measure_json(mu: MeasureSpec) -> str:
+    if mu.kind == "semicircle":
+        return json.dumps({"type": "semicircle", "mean": mu.mean, "variance": mu.variance})
+    return json.dumps({"type": "atomic", "atoms": [list(a) for a in mu.atoms]})
+
+
+class TestNoLapack:
+    """stein-check takes its Gauss-Legendre rule from the Legendre recurrence, not LAPACK."""
+
+    @pytest.mark.parametrize("order", [2, 6, 8, 12])
+    @pytest.mark.parametrize("law", range(len(MEASURE_BATTERY)))
+    def test_stein_check_runs_without_linalg(self, law, order, monkeypatch, capsys):
+        argv = ["stein-check", "--measure", measure_json(MEASURE_BATTERY[law]), "--order", str(order)]
+        assert cli.main(argv) == 0
+        want = capsys.readouterr().out
+
+        def refused(*args, **kwargs):
+            raise AssertionError("stein-check called numpy.linalg")
+
+        for name in ("eigh", "eigvalsh", "svd", "inv"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        stein._gauss_legendre.cache_clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestEvolveCumulants:
