@@ -33,8 +33,6 @@ class MassRecoveryWarning(UserWarning):
 def _real(v) -> bool:
     """The one test for a finite real; bools, strings and ints beyond float range fail."""
     try:
-        if type(v) in (float, int):  # the common types, without the slower ABC check
-            return math.isfinite(v)
         return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:  # an int too large for a float
         return False
