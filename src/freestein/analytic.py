@@ -232,22 +232,27 @@ class MeasureSpec:
         return MeasureSpec.from_grid(GridDensity(xs[0], xs[-1], vals))
 
     def moments(self, order: int) -> momentalg.MomentSequence:
-        """Exact raw moments (quadrature for the grid variant)."""
+        """Exact raw moments (quadrature for the grid variant), kept as computed.
+
+        A moment that is not a finite real by the number rule is refused with
+        a ValueError naming m_j; an atom's power beyond float range reads inf.
+        """
         order = check_count(order, "the moment order", 2, momentalg.MAX_ORDER)
         if self.kind == "atomic":
-            vals = [
-                sum(w * p**j for p, w in self.atoms) for j in range(order + 1)
-            ]
-            vals[0] = 1
-            return momentalg.MomentSequence(vals, validate=False)
-        if self.kind == "semicircle":
+            vals = [1]
+            try:
+                for j in range(1, order + 1):
+                    vals.append(sum(w * p**j for p, w in self.atoms))
+            except OverflowError:  # a float p**j beyond float range
+                vals.append(math.inf)
+        elif self.kind == "semicircle":
             kappa = [self.mean, self.variance] + [0] * (order - 2)
-            return momentalg.cumulants_to_moments(
-                momentalg.FreeCumulantSequence(kappa)
-            )
-        _, _, _, x, wv = self.descriptor()
-        vals = [float(wv @ x**j) for j in range(order + 1)]
-        vals[0] = 1.0
+            vals = momentalg.cumulants_to_moments(momentalg.FreeCumulantSequence(kappa)).values
+        else:
+            _, _, _, x, wv = self.descriptor()
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = [1.0] + [float(wv @ x**j) for j in range(1, order + 1)]
+        momentalg._check_entries(vals, "moments", "m_{}", 0)
         return momentalg.MomentSequence(vals, validate=False)
 
 

@@ -8,10 +8,11 @@ exhaustive tests stay cheap.
 The lattice is walked lazily as :func:`nc_blocks`, one partition at a
 time as a tuple of shared canonical block tuples, and nothing is kept
 once a partition has been yielded; :class:`NcPartition` objects are
-built only at the public API.  The walk places 1..n-1 and then gives n
-each of its 1 + #open choices.  The number of open blocks alone fixes
-how the walk can go on, so :func:`count_nc` (``nc count``) counts the
-placements by it, in O(n^2) integer additions, and walks nothing.
+built only at the public API.  The walk is the recursion that defines
+it: element i opens a new block or joins an open one, then i + 1 is
+placed.  The number of open blocks alone fixes how the walk can go on,
+so :func:`count_nc` (``nc count``) counts the placements by it, in
+O(n^2) integer additions, and walks nothing.
 :mod:`freestein.momentalg` solves power-series equations for its
 transforms and mixed moments and walks no lattice.
 
@@ -173,18 +174,35 @@ def nc_blocks(n: int):
     """NC(n) as tuples of canonical block tuples, lazily, in descending RGS order.
 
     The bound is checked at the call; the walk then yields one partition at
-    a time and keeps none of them.  Block tuples are shared between
-    consecutive partitions.
+    a time and keeps none of them.  Joining i to a block rebinds it to a
+    new tuple, so consecutive partitions share their other block tuples.
 
-    0-hat comes first and 1-hat last.  Elements are placed left to right.
+    0-hat comes first and 1-hat last.  Elements are placed left to right,
+    one level of the recursion each.
     A block stays open while no later element has joined a block created
     before it; element i either opens a new block or joins an open block,
     which closes every block opened after that one.  Trying the new block
     first and then the open blocks innermost first tries the RGS labels of
-    i in descending order.  Each placement of 1..n-1 is expanded into its
-    1 + #open leaves, one per choice of n.
+    i in descending order.
     """
-    return _leaves(_check_bound(n))
+    n = _check_bound(n)
+    blocks = []  # by least element; ``opened`` indexes the open ones, outermost first
+
+    def walk(i: int, opened: tuple):
+        if i > n:
+            yield tuple(blocks)
+            return
+        blocks.append((i,))
+        yield from walk(i + 1, opened + (len(blocks) - 1,))
+        blocks.pop()
+        for depth in reversed(range(len(opened))):
+            j = opened[depth]
+            b = blocks[j]
+            blocks[j] = b + (i,)
+            yield from walk(i + 1, opened[: depth + 1])
+            blocks[j] = b
+
+    return walk(1, ())
 
 
 def count_nc(n: int) -> int:
@@ -204,56 +222,6 @@ def count_nc(n: int) -> int:
     for _ in range(1, n):
         ways = [0, *reversed(list(itertools.accumulate(reversed(ways))))]
     return sum(w * (1 + k) for k, w in enumerate(ways))
-
-
-def _leaves(n: int):
-    """The walk of :func:`nc_blocks`, depth first in one frame.
-
-    The walk keeps the placed blocks in ``blocks`` in creation order,
-    i.e. by least element, and updates it in place between yields;
-    ``opened`` holds the open blocks as indices into it, outermost first.
-    ``choice`` at element i < n is 0 for a new block and k for the k-th
-    open block counted from the innermost; the explicit stack holds, per
-    placed element, its open blocks, its choice and the block tuple it
-    replaced.  Each placement of 1..n-1 yields its leaves: n in a new
-    block, then n joining each open block, innermost first.
-    """
-    blocks = []
-    last = (n,)
-    stack = []
-    i, opened, choice = 1, (), 0
-    while True:
-        while i < n:  # place i by its choice, then every later element by choice 0
-            if choice:
-                depth = len(opened) - choice
-                j = opened[depth]
-                stack.append((opened, choice, blocks[j]))
-                blocks[j] += (i,)
-                opened = opened[: depth + 1]
-            else:
-                stack.append((opened, 0, None))
-                blocks.append((i,))
-                opened += (len(blocks) - 1,)
-            i += 1
-            choice = 0
-        yield (*blocks, last)
-        for j in reversed(opened):
-            b = blocks[j]
-            blocks[j] = b + last
-            yield tuple(blocks)
-            blocks[j] = b
-        while stack:  # back up to the deepest element with a choice left
-            i -= 1
-            opened, choice, b = stack.pop()
-            if choice:
-                blocks[opened[len(opened) - choice]] = b
-            else:
-                blocks.pop()
-            choice += 1
-            if choice <= len(opened):
-                break
-        else:
-            return
 
 
 def enumerate_nc(n: int) -> list:

@@ -87,6 +87,28 @@ class TestMeasureSpec:
         for j, expect in ((1, 0.0), (2, 1.0), (4, 2.0)):
             assert float(m[j]) == pytest.approx(expect, abs=5e-4)
 
+    @pytest.mark.parametrize(
+        "law, j, value",
+        [
+            (an.MeasureSpec.atomic([(1e40, 0.5), (-1e40, 0.5)]), 8, "inf"),
+            (an.MeasureSpec.atomic([(1e200, 0.5), (-1e200, 0.5)]), 2, "inf"),
+            (an.MeasureSpec.semicircle(0.0, 1e100), 8, "inf"),
+            (an.MeasureSpec.from_grid(an.GridDensity(-1e30, 1e30, [5e-31] * 5)), 11, "nan"),
+        ],
+        ids=["atoms-1e40", "atoms-1e200", "semicircle-1e100", "grid-1e30"],
+    )
+    def test_moments_beyond_float_range_refused(self, law, j, value):
+        # the first moment that is not a finite real is named; the grid raises
+        # no RuntimeWarning on the way, and the orders below j are kept
+        with pytest.raises(ValueError, match=f"moments must be finite reals, got m_{j} = {value}"):
+            law.moments(12)
+        if j > 2:
+            assert all(map(math.isfinite, law.moments(j - 1).values))
+
+    def test_moments_keep_m0_as_computed(self):
+        assert type(ASYM.moments(2)[0]) is int
+        assert type(SEMI.moments(2)[0]) is int
+
     def test_dilate(self):
         d = ASYM.dilate(-2.0)
         assert d.atoms == ((-4.0, 0.2), (1.0, 0.8))

@@ -467,6 +467,33 @@ class TestSteinCheck:
         assert "--theta-step" in captured.err
 
 
+OVERFLOW_LAWS = {
+    "atoms-1e40": '{"type":"atomic","atoms":[[1e40,0.5],[-1e40,0.5]]}',
+    "atoms-1e200": '{"type":"atomic","atoms":[[1e200,0.5],[-1e200,0.5]]}',
+    "semicircle-1e100": '{"type":"semicircle","mean":0,"variance":1e100}',
+}
+
+
+class TestExitContract:
+    """Laws whose moments or subordination leave float range, in fresh processes."""
+
+    @pytest.mark.parametrize("law", OVERFLOW_LAWS.values(), ids=OVERFLOW_LAWS.keys())
+    @pytest.mark.parametrize(
+        "command",
+        [["moments"], ["moments", "--cumulants"], ["stein-check"], ["convolve", "-n", "4", "--out"]],
+        ids=["moments", "cumulants", "stein-check", "convolve"],
+    )
+    def test_a_documented_exit_and_no_partial_output(self, command, law, tmp_path):
+        argv = [*command, str(tmp_path / "d.csv")] if command[-1] == "--out" else command
+        done = run_fresh([*argv, "--measure", law])
+        codes = {0, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL, cli.EXIT_FIT_REFUSAL}
+        assert done.returncode in codes, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 0 or done.stdout == ""
+        cells = done.stdout.replace("=", " ").split()
+        assert not {"inf", "-inf", "nan"} & set(cells)
+
+
 class TestNc:
     def test_count(self, capsys):
         assert run(["nc", "count", "-n", "6"]) == 0

@@ -223,9 +223,20 @@ class TestEnumeration:
         def walk(*args):
             raise AssertionError("count_nc walked the lattice")
 
-        monkeypatch.setattr(ncpart, "_leaves", walk)
-        monkeypatch.setattr(ncpart, "_placements", walk, raising=False)
+        monkeypatch.setattr(ncpart, "nc_blocks", walk)
         assert ncpart.count_nc(12) == 208012
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_nc_blocks_descend_and_share_blocks(self, n):
+        # strictly descending RGS strings, Catalan(n) of them; a block tuple
+        # that a partition has in common with the one before it is that tuple
+        count, prev, prev_rgs = 0, (), None
+        for blocks in ncpart.nc_blocks(n):
+            rgs = NcPartition(n, blocks, _validated=True).rgs()
+            assert prev_rgs is None or rgs < prev_rgs
+            assert all(any(b is c for c in prev) for b in blocks if b in prev)
+            count, prev, prev_rgs = count + 1, blocks, rgs
+        assert count == ncpart.catalan(n)
 
     def test_nc_blocks_is_a_fresh_lazy_walk(self):
         walk = ncpart.nc_blocks(5)
