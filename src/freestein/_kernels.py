@@ -2,9 +2,10 @@
 
 One vectorised numpy backend: each solver iterates all query points at
 once under an active-point mask.  ``BACKEND`` names it for provenance
-records.  Measures enter as a flat descriptor ``(kind, c0, c1, xs, ys)``:
+records.  Measures enter as a flat descriptor ``(kind, c0, c1, xs, ys)``
+with c0 the law's mean and c1 its variance:
 
-* kind 1: semicircle -- c0 mean, c1 variance, one closed form
+* kind 1: semicircle -- one closed form
 * kind 0: atoms or a grid density -- xs positions or uniform nodes, ys
   weights or values times trapezoid weights
 
@@ -23,7 +24,8 @@ semicircles.  Either start falls back to z where it is not finite or not
 above the axis.  Where the start is the root itself, :func:`_solve`
 checks it with one evaluation of Phi and returns it, with 0 iterations,
 instead of stepping from it; Newton runs only on the points that fail the
-check.
+check.  Seeds, Newton and residuals run with numpy's warnings off: a law
+beyond float range reads a NaN residual, which the residual gate refuses.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def _nfold_seed(z, kind, c0, c1, xs, ys, nfold):
     point there, so any upper root is omega(z).  For a semicircle,
     omega = (z + (n-1) F_nu(z)) / n with nu the n-fold semicircle.  Atoms
     and grids stand in for the law of at most two atoms with the same mean
-    m, variance v and third central moment m_3, whose F(w) is
+    m = c0, variance v = c1 and third central moment m_3, whose F(w) is
     w - m - v / (w - c) with c = m + m_3 / v (c = m when v = 0).  So
     u = omega - c solves u^2 - zeta u + (n-1) v = 0 with
     zeta = z - (n-1) m - c: u is the reciprocal Cauchy transform of the
@@ -97,19 +99,10 @@ def _nfold_seed(z, kind, c0, c1, xs, ys, nfold):
     if kind == 1:
         f_nu = _f_df_vec(1, nfold * c0, nfold * c1, xs, ys, z, deriv=False)[0]
         return (z + (nfold - 1.0) * f_nu) / nfold
-    mean, var = _mean_var(kind, c0, c1, xs, ys)
-    c = mean + (ys @ (xs - mean) ** 3) / var if var > 0.0 else mean
-    s2 = (nfold - 1.0) * var
-    shifted = z - (nfold - 1.0) * mean
+    c = c0 + (ys @ (xs - c0) ** 3) / c1 if c1 > 0.0 else c0
+    s2 = (nfold - 1.0) * c1
+    shifted = z - (nfold - 1.0) * c0
     return shifted - s2 / _f_df_vec(1, c, s2, xs, ys, shifted, deriv=False)[0]
-
-
-def _mean_var(kind, c0, c1, xs, ys):
-    """Mean and variance of a descriptor's law: (c0, c1) for a semicircle."""
-    if kind == 1:
-        return c0, c1
-    mean = ys @ xs
-    return mean, ys @ (xs - mean) ** 2
 
 
 def _pair_seed(z, a, b):
@@ -124,8 +117,7 @@ def _pair_seed(z, a, b):
     the seed has Im omega1 >= Im z; it is the root itself when both
     operands are semicircles, and z - m_b when b is one atom.
     """
-    m_a, v_a = _mean_var(*a)
-    m_b, v_b = _mean_var(*b)
+    m_a, v_a, m_b, v_b = a[1], a[2], b[1], b[2]
     return z - m_b - v_b / _f_df_vec(1, m_a + m_b, v_a + v_b, None, None, z, deriv=False)[0]
 
 
@@ -168,8 +160,7 @@ def _solve(z, w0, phi, exact):
             w[active] += 1j * (1.0 + np.abs(w[active]))
         wa = w[active]
         mapped, dmapped = phi(z[active], wa, deriv=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = wa - (mapped - wa) / (dmapped - 1.0)
+        newton = wa - (mapped - wa) / (dmapped - 1.0)
         w[active] = np.where(np.isfinite(newton) & (newton.imag > 0.0), newton, mapped)
         settled = np.abs(mapped - wa) < TOL * (1.0 + np.abs(wa))
         iters[active] += ~settled
@@ -184,8 +175,9 @@ def nfold_omega(z, kind, c0, c1, xs, ys, nfold):
         f, df = _f_df_vec(kind, c0, c1, xs, ys, w, deriv)
         return (zs + (nfold - 1.0) * f) / nfold, (nfold - 1.0) / nfold * df
 
-    w0 = _start(_nfold_seed(z, kind, c0, c1, xs, ys, nfold), z)
-    return _solve(z, w0, phi, kind == 1 or len(xs) <= 2)
+    with np.errstate(all="ignore"):
+        w0 = _start(_nfold_seed(z, kind, c0, c1, xs, ys, nfold), z)
+        return _solve(z, w0, phi, kind == 1 or len(xs) <= 2)
 
 
 def pair_omega(z, ka, a0, a1, axs, ays, kb, b0, b1, bxs, bys):
@@ -202,7 +194,8 @@ def pair_omega(z, ka, a0, a1, axs, ays, kb, b0, b1, bxs, bys):
         fb, dfb = _f_df_vec(kb, b0, b1, bxs, bys, inner, deriv)
         return zs + fb - inner, (dfb - 1.0) * (dfa - 1.0)
 
-    w0 = _pair_seed(z, (ka, a0, a1, axs, ays), (kb, b0, b1, bxs, bys))
-    w, iters, resid = _solve(z, _start(w0, z), phi, ka == 1 and kb == 1)
-    inner = z + _f_df_vec(ka, a0, a1, axs, ays, w, deriv=False)[0] - w
+    with np.errstate(all="ignore"):
+        w0 = _pair_seed(z, (ka, a0, a1, axs, ays), (kb, b0, b1, bxs, bys))
+        w, iters, resid = _solve(z, _start(w0, z), phi, ka == 1 and kb == 1)
+        inner = z + _f_df_vec(ka, a0, a1, axs, ays, w, deriv=False)[0] - w
     return w, inner, iters, resid

@@ -192,12 +192,13 @@ class MeasureSpec:
         return cls(kind="grid", grid=grid)
 
     def descriptor(self) -> tuple:
-        """Flat (kind, c0, c1, xs, ys) encoding consumed by the kernels.
+        """Flat (kind, mean, variance, xs, ys) encoding consumed by the kernels.
 
-        A semicircle gives its mean and variance (kind 1).  Atoms and grids
-        share kind 0, one weighted node sum: atoms give positions and
-        weights, a grid its nodes and its values times its trapezoid
-        ``weights``.
+        Every kind gives its law's mean and variance (alpha_0 and beta_1).
+        A semicircle is kind 1, closed form.  Atoms and grids share kind 0,
+        one weighted node sum: atoms give positions and weights, a grid its
+        nodes and its values times its trapezoid ``weights``; beyond float
+        range their variance reads inf or nan, without a warning.
         """
         if self.kind == "semicircle":
             empty = np.empty(0, dtype=float)
@@ -207,7 +208,9 @@ class MeasureSpec:
             ys = np.array([w for _, w in self.atoms], dtype=float)
         else:
             xs, ys = self.grid.x, self.grid.values * self.grid.weights
-        return (0, 0.0, 0.0, xs, ys)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = ys @ xs
+            return (0, mean, ys @ (xs - mean) ** 2, xs, ys)
 
     @property
     def support_radius(self) -> float:
@@ -267,14 +270,16 @@ def _as_upper_half(z):
 class MeasureEvaluator:
     """Cauchy-transform handle; ``_solve`` returns (omega(z), G(z)) in one go.
 
-    For a plain law omega is the identity.  The subordination handles
-    below set ``base`` and ``support_radius`` and supply ``_solve`` from a
-    kernel solver; all of them share :meth:`cauchy`, the upper-half-plane
-    check and the residual gate.
+    For a plain law omega is the identity; every handle builds the kernel
+    descriptor ``desc`` of its ``base`` once, for all its solves.  The
+    subordination handles below set ``base`` and ``support_radius`` and
+    supply ``_solve`` from a kernel solver; all of them share
+    :meth:`cauchy`, the upper-half-plane check and the residual gate.
     """
 
     def __init__(self, base: MeasureSpec):
         self.base = base
+        self.desc = base.descriptor()
         self.support_radius = base.support_radius
         self.peak_iterations = 0
 
@@ -283,7 +288,7 @@ class MeasureEvaluator:
         return self._solve(_as_upper_half(z))[0]
 
     def _solve(self, z):
-        return z, _kernels.cauchy_vals(z, *self.base.descriptor())
+        return z, _kernels.cauchy_vals(z, *self.desc)
 
     def cauchy(self, z):
         """G(z) = integral of 1/(z - x) d(law)(x), Im z > 0 (so Im G < 0)."""
@@ -324,7 +329,7 @@ class NFoldEvaluator(MeasureEvaluator):
         self.support_radius = self.n * self.base.support_radius
 
     def _solve(self, z):
-        om, iters, resid = _kernels.nfold_omega(z, *self.base.descriptor(), float(self.n))
+        om, iters, resid = _kernels.nfold_omega(z, *self.desc, float(self.n))
         self._accept("n-fold subordination", iters, resid)
         return om, (self.n - 1.0) / (self.n * om - z)
 
@@ -345,12 +350,11 @@ class PairConvolveEvaluator(MeasureEvaluator):
     def __init__(self, a: MeasureSpec, b: MeasureSpec):
         super().__init__(a)
         self.b = b
+        self.b_desc = b.descriptor()
         self.support_radius = a.support_radius + b.support_radius
 
     def _solve(self, z):
-        om1, om2, iters, resid = _kernels.pair_omega(
-            z, *self.base.descriptor(), *self.b.descriptor()
-        )
+        om1, om2, iters, resid = _kernels.pair_omega(z, *self.desc, *self.b_desc)
         self._accept("subordination", iters, resid)
         return om1, 1.0 / (om1 + om2 - z)
 

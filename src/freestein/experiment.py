@@ -85,15 +85,17 @@ class ExperimentConfig:
         self.window = None if w is None else (float(w[0]), float(w[1]))
         if not isinstance(self.normalize, bool):
             raise ConfigError(f"normalize must be true or false, got {self.normalize!r}")
-        if self.normalize:
-            self.base_measure = standardize(self.base_measure)
-        else:
+        try:
             m = self.base_measure.moments(2)
-            if abs(float(m[1])) > 1e-12 or abs(float(m[2]) - 1.0) > 1e-12:
-                raise ConfigError(
-                    "base measure must be centered and standardized "
-                    "(mean 0, variance 1); pass normalize=true to rescale"
-                )
+            if self.normalize:
+                self.base_measure = standardize(self.base_measure)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if not self.normalize and (abs(float(m[1])) > 1e-12 or abs(float(m[2]) - 1.0) > 1e-12):
+            raise ConfigError(
+                "base measure must be centered and standardized "
+                "(mean 0, variance 1); pass normalize=true to rescale"
+            )
 
 
 def standardize(mu: MeasureSpec) -> MeasureSpec:

@@ -109,6 +109,27 @@ class TestMeasureSpec:
         assert type(ASYM.moments(2)[0]) is int
         assert type(SEMI.moments(2)[0]) is int
 
+    @pytest.mark.parametrize(
+        "law",
+        [
+            *stein.MEASURE_BATTERY,
+            an.MeasureSpec.from_grid(unit_grid(an.semicircle_density(-2.2, 2.2, 4001))),
+            ASYM.dilate(1.0 / math.sqrt(8.0)),
+        ],
+        ids=["semicircle", "bernoulli", "two-atom", "three-atom", "semicircle-shifted", "grid",
+             "dilated"],
+    )
+    def test_descriptor_carries_mean_and_variance(self, law):
+        kind, mean, variance, xs, ys = law.descriptor()
+        if kind == 0:
+            want = ys @ xs
+            assert (mean, variance) == (want, ys @ (xs - want) ** 2)
+        else:
+            assert (mean, variance) == (law.mean, law.variance)
+        m = law.moments(2)
+        assert mean == pytest.approx(float(m[1]), abs=1e-15)
+        assert variance == pytest.approx(float(m[2]) - float(m[1]) ** 2, abs=1e-15)
+
     def test_dilate(self):
         d = ASYM.dilate(-2.0)
         assert d.atoms == ((-4.0, 0.2), (1.0, 0.8))
@@ -272,6 +293,24 @@ class TestOneSolve:
         assert calls == [kernel]
         ev.omega(0.5j)
         assert calls == [kernel, kernel]
+
+    @pytest.mark.parametrize(
+        "make, builds",
+        [
+            (lambda: an.nfold_convolve(ASYM, 8, 0.5), 1),
+            (lambda: an.PairConvolveEvaluator(ASYM, SEMI), 2),
+        ],
+        ids=["nfold", "pair"],
+    )
+    def test_descriptor_built_once_per_operand(self, monkeypatch, make, builds):
+        # stieltjes_density solves three times, once per eps of the ladder
+        calls = []
+        descriptor = an.MeasureSpec.descriptor
+        monkeypatch.setattr(
+            an.MeasureSpec, "descriptor", lambda mu: calls.append(mu) or descriptor(mu)
+        )
+        an.stieltjes_density(make(), -5.0, 5.0, 201)
+        assert len(calls) == builds
 
     def test_identity_matches_the_base_at_omega(self):
         # G = (n-1)/(n omega - z) and 1/(omega1 + omega2 - z) are G_base(omega1)

@@ -470,6 +470,8 @@ class TestSteinCheck:
 OVERFLOW_LAWS = {
     "atoms-1e40": '{"type":"atomic","atoms":[[1e40,0.5],[-1e40,0.5]]}',
     "atoms-1e200": '{"type":"atomic","atoms":[[1e200,0.5],[-1e200,0.5]]}',
+    # the variance 1e308 is finite, the cubed central moment of the n-fold seed is not
+    "atoms-1e154": '{"type":"atomic","atoms":[[1e154,0.5],[-1e154,0.5]]}',
     "semicircle-1e100": '{"type":"semicircle","mean":0,"variance":1e100}',
 }
 
@@ -489,6 +491,7 @@ class TestExitContract:
         codes = {0, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL, cli.EXIT_FIT_REFUSAL}
         assert done.returncode in codes, done.stderr
         assert "Traceback" not in done.stderr
+        assert "Warning" not in done.stderr
         assert done.returncode == 0 or done.stdout == ""
         cells = done.stdout.replace("=", " ").split()
         assert not {"inf", "-inf", "nan"} & set(cells)
@@ -822,6 +825,28 @@ class TestBerryEsseenAndFit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "atom, normalize, match",
+        [(1e200, False, "m_2 = inf"), (1e200, True, "m_2 = inf"), (1e40, False, "standardized")],
+        ids=["atoms-1e200", "atoms-1e200-normalize", "atoms-1e40"],
+    )
+    def test_base_beyond_float_range_exits_2_before_output(
+        self, tmp_path, atom, normalize, match, capsys
+    ):
+        # m_2 of atoms +-1e200 leaves float range; +-1e40 has a finite m_2 that is not 1
+        out = tmp_path / "r.csv"
+        cfg = {
+            "base_measure": {"type": "atomic", "atoms": [[atom, 0.5], [-atom, 0.5]]},
+            "n_values": [4, 8],
+            "normalize": normalize,
+            "output": str(out),
+        }
+        assert run(["berry-esseen", "--config", json.dumps(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and match in captured.err
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_output_directory_exits_2_before_output(self, tmp_path, capsys):

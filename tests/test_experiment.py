@@ -46,6 +46,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="standardized"):
             tiny_config(tmp_path, base_measure=MeasureSpec.atomic([(0.0, 0.5), (2.0, 0.5)]))
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_base_moments_beyond_float_range_are_a_config_error(self, tmp_path, normalize):
+        law = MeasureSpec.atomic([(1e200, 0.5), (-1e200, 0.5)])
+        with pytest.raises(ConfigError, match="m_2 = inf"):
+            tiny_config(tmp_path, base_measure=law, normalize=normalize)
+
     def test_normalize_rescales(self, tmp_path):
         cfg = tiny_config(
             tmp_path,

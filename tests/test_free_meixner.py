@@ -76,3 +76,70 @@ def test_jacobi_parameters_give_the_free_cumulants_exactly(root_n):
     kappa = ma.moments_to_cumulants(ma.MomentSequence(mu, validate=False))
     for j in range(1, order + 1):
         assert got[j] == Fraction(root_n) ** (2 - j) * kappa[j], j
+
+
+def kappa_3(atoms) -> float:
+    return sum(w * x**3 for x, w in atoms)
+
+
+# with the skewed law reflected, whose atom lies on the positive side
+ALL_LAWS = {**LAWS, "mirrored": [(-2.0, 0.2), (0.5, 0.8)]}
+ATOM_NS = [2, 3, 4, 5, 8, 64, 4096, 10**6]
+WITH_ATOM = [
+    pytest.param(atoms, n, id=f"{name}-{n}")
+    for name, atoms in ALL_LAWS.items()
+    for n in ATOM_NS
+    if fm.atom(n, kappa_3(atoms)) is not None
+]
+
+
+@pytest.mark.parametrize("n", ATOM_NS)
+@pytest.mark.parametrize("atoms", ALL_LAWS.values(), ids=ALL_LAWS.keys())
+def test_density_and_atom_make_the_whole_law(atoms, n):
+    # x = c + r cos(theta) turns the continuous part into a smooth periodic
+    # integrand in theta, where the midpoint rule converges geometrically
+    a = kappa_3(atoms)
+    lo, hi = fm.edges(n, a)
+    c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    theta = (np.arange(4096) + 0.5) * math.pi / 4096
+    x = c + r * np.cos(theta)
+    wts = fm.density(x, n, a) * r * np.sin(theta) * (math.pi / 4096)
+    moments = [wts @ x**j for j in range(4)]
+    if (found := fm.atom(n, a)) is not None:
+        loc, mass = found
+        moments = [m + mass * loc**j for j, m in enumerate(moments)]
+    assert moments == pytest.approx([1.0, 0.0, 1.0, a / math.sqrt(n)], abs=1e-12)
+
+
+@pytest.mark.parametrize("law, sign", [("skewed", -1.0), ("mirrored", 1.0)])
+def test_atom_mass_falls_by_p_per_summand(law, sign):
+    # p = 1/5 and b = -1/2 (+1/2 reflected): the atom of nu_n sits at -+sqrt(n)/2
+    # with mass 1 - n/5
+    a = kappa_3(ALL_LAWS[law])
+    for n, mass in [(2, 0.6), (3, 0.4), (4, 0.2)]:
+        loc, got = fm.atom(n, a)
+        assert loc == pytest.approx(sign * math.sqrt(n) / 2.0, rel=1e-15)
+        assert got == pytest.approx(mass, abs=1e-15)
+    assert [fm.atom(n, a) for n in [*range(5, 13), 64, 4096, 10**6]] == [None] * 11
+
+
+@pytest.mark.parametrize("atoms, n", WITH_ATOM)
+def test_atom_mass_is_the_pole_of_g(atoms, n):
+    # G(x0 + i eps) = mass / (i eps) + O(1) at the atom x0
+    a = kappa_3(atoms)
+    loc, mass = fm.atom(n, a)
+    assert 1e-9 * abs(fm.cauchy(loc + 1e-9j, n, a).imag) == pytest.approx(mass, abs=1e-9)
+    handle = an.nfold_convolve(an.MeasureSpec.atomic(atoms), n, 1.0 / math.sqrt(n))
+    assert 1e-6 * abs(handle.cauchy(loc + 1e-6j).imag) == pytest.approx(mass, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", NS)
+def test_zero_skewness_density_is_kesten_mckay(n):
+    # within 0.9 of the edge; nearer, each form rounds the edge its own way and
+    # the square root there magnifies it (to 5e-13 at n = 2, the arcsine law)
+    e = km.edge(n)
+    y = np.linspace(-0.9 * e, 0.9 * e, 2001)
+    assert np.abs(fm.density(y, n, 0.0) - km.density(y, n)).max() <= 1e-15
+    outside = np.array([-3.0, -1.001 * e, 1.001 * e, 3.0])
+    assert fm.density(outside, n, 0.0).tolist() == km.density(outside, n).tolist() == [0.0] * 4
+    assert fm.edges(n, 0.0) == pytest.approx((-e, e), rel=1e-15)

@@ -15,11 +15,13 @@ not pull in the Cauchy-transform engine.  The
 version is written once, as ``freestein.__version__``, and
 ``pyproject.toml`` reads it from there.  Every (module, function) pair the
 benchmark's tracer wraps is a callable of that module, so renaming a
-traced function fails here rather than in a benchmark run.
+traced function fails here rather than in a benchmark run, and the kernel
+arguments the tracer reads by position keep their positions.
 """
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -212,3 +214,11 @@ def test_traced_functions_exist():
 def test_target_reader_sees_only_the_literal():
     source = "X = 1\na, b = 2, 3\nTARGETS = (\n    ('a', 'f'),\n    ('_b', 'g'),\n)\nTARGETS_TOO = ()\n"
     assert traced_targets(source) == [("a", "f"), ("_b", "g")]
+
+
+@pytest.mark.parametrize("name", ["nfold_omega", "cauchy_vals"])
+def test_traced_kernels_keep_kind_and_xs_positions(name):
+    # perfbench/tracing.py reads a call's kind at args[1] and its xs at args[4]
+    kernel = getattr(importlib.import_module("freestein._kernels"), name)
+    params = list(inspect.signature(kernel).parameters)
+    assert (params[1], params[4]) == ("kind", "xs")
